@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -104,6 +105,9 @@ class GateCounts:
     p_ni: float
 
 
+_DEAD_TIME_SLICE = 1 << 16
+
+
 def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
     """Non-paralyzable dead time on a sorted time array."""
     if dead_time <= 0 or times.size == 0:
@@ -111,14 +115,16 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
     if times.size == 1 or np.min(np.diff(times)) >= dead_time:
         return times
     kept = []
-    i = 0
-    n = times.size
-    while i < n:
-        t = times[i]
-        kept.append(t)
-        # Jump past everything inside the dead window of the accepted click.
-        i = int(np.searchsorted(times, t + dead_time, side="left"))
-    return np.asarray(kept)
+    next_ok = -math.inf
+    # Slices bound the Python floats alive at once to _DEAD_TIME_SLICE.
+    for start in range(0, times.size, _DEAD_TIME_SLICE):
+        part = []
+        for t in times[start:start + _DEAD_TIME_SLICE].tolist():
+            if t >= next_ok:
+                part.append(t)
+                next_ok = t + dead_time
+        kept.append(np.array(part, dtype=np.float64))
+    return np.concatenate(kept)
 
 
 def discriminate(w: Waveform, spec: DiscriminatorSpec) -> np.ndarray:

@@ -11,7 +11,9 @@ simulation matches the closed-form first-generation oracle
 Gates are processed in fixed-size blocks, each drawing from its own
 counter-based (Philox) random streams keyed by (seed, block, purpose), so a
 run is bit-reproducible and the primary photon/dark draws are unaffected by
-trap settings.
+trap settings.  The photon lane draws one uniform per illuminated gate; the
+dark lane draws only the dark hits, as geometric gaps between them, so its
+cost scales with the number of dark events rather than with the gates.
 """
 
 from __future__ import annotations
@@ -182,6 +184,30 @@ def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int,
     return target[valid]
 
 
+def _bernoulli_hits(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
+    """Sorted int64 indices of the successes among m independent Bernoulli(p) trials.
+
+    The gaps between successive successes are independent Geometric(p), so
+    summing them visits only the successes (Devroye, Non-Uniform Random
+    Variate Generation, 1986) and the cost scales with m*p instead of m.
+    The indices are the running sums of the stream's geometric variates, so
+    they do not depend on the batch size.  Each gap is capped at m + 1
+    before summing: a gap that long already leaves the block, and numpy
+    returns gaps up to INT64_MAX for tiny p, which would wrap the sum.
+    """
+    mean = m * p
+    batch = min(m + 1, int(mean + 4.0 * math.sqrt(mean)) + 16)
+    parts = []
+    last = -1
+    while True:
+        hits = last + np.cumsum(np.minimum(rng.geometric(p, batch), m + 1))
+        if hits[-1] >= m:
+            parts.append(hits[hits < m])
+            return np.concatenate(parts)
+        parts.append(hits)
+        last = int(hits[-1])
+
+
 def _truncated_normal(rng: np.random.Generator, sigma: float, bound: float, size: int) -> np.ndarray:
     """Rejection-sampled N(0, sigma) conditioned on |x| <= bound."""
     if sigma == 0.0 or size == 0:
@@ -205,9 +231,12 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
     Per gate: a photon avalanche fires with probability 1 - exp(-mu*eta) on
     illuminated gates, otherwise a dark avalanche with dark_per_gate,
     otherwise an afterpulse if a previously trapped carrier releases inside
-    the gate window and triggers.  Avalanche times are gate center plus
-    truncated Gaussian jitter; charges are log-normal with the configured
-    mean and coefficient of variation.
+    the gate window and triggers.  Photon draws take one uniform per
+    illuminated gate.  Dark hits are independent Bernoulli(dark_per_gate)
+    trials over every gate of a block, drawn by geometric skips between
+    hits; a hit on a photon gate is dropped.  Avalanche times are gate
+    center plus truncated Gaussian jitter; charges are log-normal with the
+    configured mean and coefficient of variation.
 
     By default afterpulse avalanches do not refill traps (first generation
     only, matching `expected_afterpulses`); `allow_afterpulse_cascades` is an
@@ -251,9 +280,8 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
 
         # Dark avalanches anywhere a photon did not already fire.
         if det.dark_per_gate > 0:
-            u = _rng(seed, chunk_idx, _LANE_DARK).random(m)
-            dark_mask = (u < det.dark_per_gate) & ~occupied
-            dark_gates = g0 + np.nonzero(dark_mask)[0].astype(np.int64)
+            hits = _bernoulli_hits(_rng(seed, chunk_idx, _LANE_DARK), m, det.dark_per_gate)
+            dark_gates = g0 + hits[~occupied[hits]]
         else:
             dark_gates = np.empty(0, dtype=np.int64)
         occupied[dark_gates - g0] = True

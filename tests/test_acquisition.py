@@ -24,7 +24,9 @@ from unicsim import (
     synth_capacitive,
     tdc,
 )
+from unicsim import acquisition
 from unicsim.acquisition import (
+    _apply_dead_time,
     read_gate_counts_json,
     read_histogram_csv,
     read_timestamps_binary,
@@ -80,6 +82,54 @@ def test_discriminate_dead_time_monotonicity():
 def test_tdc_dead_time_example():
     out = tdc(np.array([0.0, 1.0e-9, 2.5e-9]), TdcSpec(resolution=1e-12, dead_time=2e-9))
     assert np.allclose(out, [0.0, 2.5e-9])
+
+
+def _dead_time_reference(times, dead_time):
+    """The earlier dead-time loop: keep a click, then jump past its window by bisection."""
+    if dead_time <= 0 or times.size == 0:
+        return times
+    kept = []
+    i = 0
+    while i < times.size:
+        t = times[i]
+        kept.append(t)
+        i = int(np.searchsorted(times, t + dead_time, side="left"))
+    return np.asarray(kept)
+
+
+def _clustered_times(seed, n):
+    # Bursts of sub-dead-time gaps between long quiet gaps, on a 1 ps grid so
+    # that some stamps coincide.
+    rng = np.random.default_rng(seed)
+    gaps = np.where(rng.random(n) < 0.7, rng.exponential(0.4e-9, n), rng.exponential(10e-9, n))
+    return np.round(np.cumsum(gaps) / 1e-12) * 1e-12
+
+
+UNIT = 2.0 ** -30  # ties at exactly one dead time are exact in binary
+TIES = np.array([0.0, 2.0, 3.0, 4.0, 6.0, 6.0, 7.0, 8.5, 10.0]) * UNIT
+
+
+@pytest.mark.parametrize("times,dead_time", [
+    (_clustered_times(71, 200_000), 2e-9),
+    (_clustered_times(72, 5_000), 0.7e-9),
+    (TIES, 2.0 * UNIT),
+    (np.array([1e-9]), 2e-9),
+    (_clustered_times(73, 1_000), 0.0),
+    (np.arange(10.0) * 3e-9, 2e-9),
+], ids=["clustered", "clustered-short", "ties", "single", "no-dead-time", "no-overlap"])
+@pytest.mark.parametrize("slice_len", [None, 7])
+def test_dead_time_matches_reference_loop(times, dead_time, slice_len, monkeypatch):
+    if slice_len is not None:
+        monkeypatch.setattr(acquisition, "_DEAD_TIME_SLICE", slice_len)
+    out = _apply_dead_time(times, dead_time)
+    ref = _dead_time_reference(times, dead_time)
+    assert out.dtype == ref.dtype == np.float64
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_dead_time_ties_at_window_end_are_kept():
+    out = _apply_dead_time(TIES, 2.0 * UNIT)
+    assert out.tolist() == [x * UNIT for x in (0.0, 2.0, 4.0, 6.0, 8.5)]
 
 
 def test_tdc_quantization_round_half_even():

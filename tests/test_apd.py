@@ -11,7 +11,14 @@ from unicsim import (
     pulse_ratio,
     simulate,
 )
-from unicsim.apd import KIND_AFTERPULSE, KIND_DARK, KIND_PHOTON, read_events_csv, write_events_csv
+from unicsim.apd import (
+    _CHUNK,
+    KIND_AFTERPULSE,
+    KIND_DARK,
+    KIND_PHOTON,
+    read_events_csv,
+    write_events_csv,
+)
 
 TRAP_DET = dict(traps_per_avalanche=2.0, detrap_tau=2e-9, p_trigger=0.1,
                 f_g=1.25e9, gate_width=1.5e-10)
@@ -176,6 +183,55 @@ def test_simulate_cascades_add_events():
         first_gen.gate_index[first_gen.kind != KIND_AFTERPULSE],
         cascaded.gate_index[cascaded.kind != KIND_AFTERPULSE],
     )
+
+
+# Pulsed, mu = 0.5: photons occupy about 12% of the illuminated gates, so the
+# dark lane has to step around them.  Three blocks, the last one partial.
+DARK_SRC = SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.5, illuminated_gate_phase=2)
+DARK_N_GATES = 2 * _CHUNK + 700_001
+
+
+def _dark_det(p_d):
+    return DetectorConfig(eta_gate=0.25, dark_per_gate=p_d, traps_per_avalanche=0.0)
+
+
+@pytest.mark.parametrize("p_d", [1e-3, 0.3])
+def test_simulate_dark_count_within_3_sigma(p_d):
+    s = simulate(_dark_det(p_d), DARK_SRC, DARK_N_GATES, seed=404)
+    c = s.counts()
+    # Given the photon gates, the dark count is Binomial(free gates, p_d).
+    n_free = DARK_N_GATES - c["photon"]
+    sigma = math.sqrt(n_free * p_d * (1 - p_d))
+    assert c["dark"] == pytest.approx(n_free * p_d, abs=3 * sigma)
+    dark_gates = s.gate_index[s.kind == KIND_DARK]
+    per_block = np.bincount(dark_gates // _CHUNK, minlength=3)
+    assert np.all(per_block > 0)
+
+
+def test_dark_lane_leaves_photon_gates_unchanged():
+    no_dark = simulate(_dark_det(0.0), DARK_SRC, DARK_N_GATES, seed=405)
+    dark = simulate(_dark_det(1e-4), DARK_SRC, DARK_N_GATES, seed=405)
+    assert dark.counts()["dark"] > 0
+    assert np.array_equal(dark.gate_index[dark.kind == KIND_PHOTON], no_dark.gate_index)
+
+
+@pytest.mark.parametrize("p_d", [1e-18, 1e-300, 5e-324])
+def test_simulate_tiny_dark_probability_terminates_in_range(p_d):
+    s = simulate(_dark_det(p_d), DARK_SRC, DARK_N_GATES, seed=406)
+    assert s.counts()["photon"] > 0
+    assert s.counts()["dark"] == 0
+    assert np.all((s.gate_index >= 0) & (s.gate_index < DARK_N_GATES))
+    assert np.all(np.diff(s.gate_index) >= 1)
+
+
+def test_simulate_certain_dark_fills_every_free_gate():
+    s = simulate(_dark_det(1.0), DARK_SRC, DARK_N_GATES, seed=407)
+    # One event on every gate, first and last gate of each block included.
+    assert np.array_equal(s.gate_index, np.arange(DARK_N_GATES))
+    photon = s.kind == KIND_PHOTON
+    assert photon.any()
+    assert np.all(s.gate_index[photon] % 125 == 2)
+    assert np.all(s.kind[~photon] == KIND_DARK)
 
 
 def test_pulse_ratio_validation():
