@@ -9,14 +9,13 @@ the window.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._io import read_csv, read_json, write_csv, write_json
 from .waveform import Waveform
 
 __all__ = [
@@ -153,15 +152,24 @@ def tdc(clicks: np.ndarray, spec: TdcSpec) -> np.ndarray:
     return _apply_dead_time(stamps, spec.dead_time)
 
 
-def histogram(ts: np.ndarray, period: float, bin_width: float) -> Histogram:
-    """Fold timestamps modulo `period` into bins of `bin_width`."""
+def _fold_bins(period: float, bin_width: float) -> int:
+    """Number of `bin_width` bins in one fold `period`; the width must divide it."""
     if period <= 0:
         raise ValueError("period must be positive")
+    if bin_width <= 0:
+        raise ValueError("bin_width must be positive")
     if bin_width > period:
         raise ValueError("bin_width must not exceed period")
-    n_bins = int(round(period / bin_width))
+    ratio = period / bin_width
+    n_bins = round(ratio) if math.isfinite(ratio) else 0
     if n_bins < 1 or abs(n_bins * bin_width - period) > 1e-9 * period:
         raise ValueError("bin_width must divide period")
+    return n_bins
+
+
+def histogram(ts: np.ndarray, period: float, bin_width: float) -> Histogram:
+    """Fold timestamps modulo `period` into bins of `bin_width`."""
+    n_bins = _fold_bins(period, bin_width)
     ts = np.asarray(ts, dtype=np.float64)
     folded = np.mod(ts, period)
     idx = np.minimum((folded / bin_width).astype(np.int64), n_bins - 1)
@@ -215,23 +223,16 @@ def count_rate(ts: np.ndarray, span: float) -> float:
 # File formats
 # ---------------------------------------------------------------------------
 
+_HISTOGRAM_HEADER = ["bin_start_s", "counts"]
+
+
 def write_histogram_csv(path, hist: Histogram) -> None:
-    starts = hist.bin_starts()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_start_s", "counts"])
-        for i in range(hist.n_bins):
-            w.writerow([repr(float(starts[i])), int(hist.bins[i])])
+    write_csv(path, _HISTOGRAM_HEADER, [hist.bin_starts(), hist.bins])
 
 
 def read_histogram_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["bin_start_s", "counts"]:
-            raise ValueError(f"unexpected histogram header: {header}")
-        rows = [(float(a), int(b)) for a, b in r]
-    return np.asarray([a for a, _ in rows]), np.asarray([b for _, b in rows], dtype=np.int64)
+    starts, counts = read_csv(path, _HISTOGRAM_HEADER)
+    return np.asarray([float(x) for x in starts]), np.asarray([int(x) for x in counts], dtype=np.int64)
 
 
 def write_timestamps_binary(path, ts: np.ndarray) -> None:
@@ -252,23 +253,8 @@ def read_timestamps_binary(path) -> np.ndarray:
 
 
 def write_gate_counts_json(path, gc: GateCounts) -> None:
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "n_gates_illuminated": gc.n_gates_illuminated,
-                "n_gates_non_illuminated": gc.n_gates_non_illuminated,
-                "clicks_illuminated": gc.clicks_illuminated,
-                "clicks_non_illuminated": gc.clicks_non_illuminated,
-                "p_i": gc.p_i,
-                "p_ni": gc.p_ni,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(path, asdict(gc))
 
 
 def read_gate_counts_json(path) -> GateCounts:
-    with open(path) as fh:
-        d = json.load(fh)
-    return GateCounts(**d)
+    return GateCounts(**read_json(path))

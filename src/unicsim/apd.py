@@ -18,11 +18,12 @@ cost scales with the number of dark events rather than with the gates.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._io import read_csv, write_csv
 
 __all__ = [
     "DetectorConfig",
@@ -395,35 +396,20 @@ def expected_click_prob(det: DetectorConfig, src: SourceConfig) -> ClickProbabil
 # File format
 # ---------------------------------------------------------------------------
 
+_EVENTS_HEADER = ["gate_index", "time_s", "kind", "charge_c"]
+
+
 def write_events_csv(path, stream: EventStream) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gate_index", "time_s", "kind", "charge_c"])
-        for i in range(len(stream)):
-            w.writerow([
-                int(stream.gate_index[i]),
-                repr(float(stream.time[i])),
-                KIND_NAMES[stream.kind[i]],
-                repr(float(stream.charge[i])),
-            ])
+    kinds = np.asarray(KIND_NAMES, dtype=object)[stream.kind]
+    write_csv(path, _EVENTS_HEADER, [stream.gate_index, stream.time, kinds, stream.charge])
 
 
 def read_events_csv(path) -> EventStream:
+    gates, times, kinds, charges = read_csv(path, _EVENTS_HEADER)
     code = {name: i for i, name in enumerate(KIND_NAMES)}
-    gates, times, kinds, charges = [], [], [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["gate_index", "time_s", "kind", "charge_c"]:
-            raise ValueError(f"unexpected events header: {header}")
-        for row in r:
-            gates.append(int(row[0]))
-            times.append(float(row[1]))
-            kinds.append(code[row[2]])
-            charges.append(float(row[3]))
     return EventStream(
-        gate_index=np.asarray(gates, dtype=np.int64),
-        time=np.asarray(times),
-        kind=np.asarray(kinds, dtype=np.uint8),
-        charge=np.asarray(charges),
+        gate_index=np.asarray([int(g) for g in gates], dtype=np.int64),
+        time=np.asarray([float(t) for t in times]),
+        kind=np.asarray([code[k] for k in kinds], dtype=np.uint8),
+        charge=np.asarray([float(c) for c in charges]),
     )

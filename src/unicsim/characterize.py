@@ -17,8 +17,6 @@ propagated to the derived quantities to first order.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._io import read_csv, read_json, write_csv, write_json
 from .acquisition import classify, tdc, AcquisitionConfig
 from .apd import DetectorConfig, SourceConfig, pulse_ratio, simulate
 
@@ -157,13 +156,22 @@ def _derived_seeds(seed: int) -> tuple[int, int]:
     return int(on), int(off)
 
 
+def _pulsed_ratio(det: DetectorConfig, src: SourceConfig, n_gates: int | None = None) -> int:
+    """Gate-to-laser ratio R of a pulsed source, checked for gate
+    classification (R >= 2) and, given n_gates, for estimation (>= 10 R gates)."""
+    if src.mode != "pulsed":
+        raise ValueError("mode must be 'pulsed' to characterize a detector")
+    r = pulse_ratio(det, src)
+    if r < 2:
+        raise ValueError(f"laser_rate must leave R = f_g/laser_rate >= 2 in pulsed mode, got R = {r}")
+    if n_gates is not None and n_gates < 10 * r:
+        raise ValueError(f"n_gates must be at least 10 * R = {10 * r}")
+    return r
+
+
 def _characterize_streams(det, src, acq, n_gates, seed):
     """(report, laser-on stream, on-run timestamps) for reuse by sweep drivers."""
-    if src.mode != "pulsed":
-        raise ValueError("run_characterization requires a pulsed source")
-    r = pulse_ratio(det, src)
-    if n_gates < 10 * r:
-        raise ValueError("n_gates must be at least 10 * R")
+    r = _pulsed_ratio(det, src, n_gates)
     seed_on, seed_off = _derived_seeds(seed)
 
     stream_on = simulate(det, src, n_gates, seed_on)
@@ -264,6 +272,17 @@ def efficiency_at_afterpulse(sweep: SweepResult, target_pa: float) -> float:
     return float(np.interp(target_pa, pa, eta))
 
 
+def _check_flux_list(flux_list) -> list:
+    flux_list = list(flux_list)
+    if not flux_list:
+        raise ValueError("flux_list must not be empty")
+    if any(b < a for a, b in zip(flux_list, flux_list[1:])):
+        raise ValueError("flux_list must be nondecreasing")
+    if flux_list[0] < 0:
+        raise ValueError("flux_list entries must be >= 0")
+    return flux_list
+
+
 def count_rate_vs_flux(det: DetectorConfig, acq: AcquisitionConfig, flux_list,
                        n_gates: int, seed: int) -> SweepResult:
     """Click rate and photocurrent versus flux for a gate-synchronous source.
@@ -273,11 +292,7 @@ def count_rate_vs_flux(det: DetectorConfig, acq: AcquisitionConfig, flux_list,
     rate sees the configured TDC dead time.  eta_net/p_a/p_d columns carry
     the configured values (a rate sweep does not re-estimate them).
     """
-    flux_list = list(flux_list)
-    if not flux_list:
-        raise ValueError("flux_list must not be empty")
-    if any(b < a for a, b in zip(flux_list, flux_list[1:])):
-        raise ValueError("flux_list must be nondecreasing")
+    flux_list = _check_flux_list(flux_list)
     span = n_gates / det.f_g
 
     def one(item):
@@ -312,34 +327,23 @@ def charge_from_photocurrent(current: float, rate: float) -> float:
 # ---------------------------------------------------------------------------
 
 def write_run_report(path, report: RunReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(path, report.to_dict())
 
 
 def read_run_report(path) -> RunReport:
-    with open(path) as fh:
-        return RunReport(**json.load(fh))
+    return RunReport(**read_json(path))
 
 
 _SWEEP_HEADER = ["label", "eta_net", "p_a", "p_d", "flux", "rate_hz", "photocurrent_a"]
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_SWEEP_HEADER)
-        for p in sweep.points:
-            w.writerow([p.label] + [repr(float(getattr(p, k))) for k in _SWEEP_HEADER[1:]])
+    labels = [p.label for p in sweep.points]
+    values = [np.array([getattr(p, k) for p in sweep.points], dtype=np.float64) for k in _SWEEP_HEADER[1:]]
+    write_csv(path, _SWEEP_HEADER, [labels, *values])
 
 
 def read_sweep_csv(path) -> SweepResult:
-    points = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != _SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep header: {header}")
-        for row in r:
-            points.append(SweepPoint(row[0], *[float(x) for x in row[1:]]))
-    return SweepResult(points=tuple(points))
+    labels, *values = read_csv(path, _SWEEP_HEADER)
+    rows = zip(labels, *[[float(x) for x in col] for col in values])
+    return SweepResult(points=tuple(SweepPoint(*row) for row in rows))

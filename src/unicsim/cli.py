@@ -1,21 +1,29 @@
 """Config-driven command line for reproducible, file-emitting experiments.
 
 One JSON config file describes an experiment; flags may override only seed,
-n_gates and output_dir so provenance stays in the config.  Exit codes:
-0 success, 2 config error, 3 runtime error; failures print a
+n_gates and output_dir so provenance stays in the config.  The file is read
+into `ExperimentConfig` by one builder driven by the dataclass type hints.
+Exit codes: 0 success, 2 config error, 3 runtime error; failures print a
 machine-readable JSON object to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from types import NoneType, UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import acquisition, apd, characterize, network, presets, waveform
+from . import _io, acquisition, apd, characterize, network, presets, waveform
+from .acquisition import AcquisitionConfig
+from .apd import DetectorConfig, SourceConfig
+from .network import Notch, SawBpf
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,306 +36,387 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.paths))
 
 
-def _dataclass_from(cfg: dict, cls, path: str, errors: list):
-    try:
-        return cls(**cfg)
-    except TypeError as e:
-        errors.append(f"{path}: {e}")
-    except ValueError as e:
-        errors.append(f"{path}: {e}")
-    return None
+# ---------------------------------------------------------------------------
+# Config schema: library dataclasses plus the sections that have none
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpectrumConfig:
+    """Grids of spectrum.csv: [f_start, f_stop] coarse, fine_span around f_g fine."""
+
+    f_start: float = 1e8
+    f_stop: float = 2.5e9
+    coarse_step: float = 1e5
+    fine_step: float = 1e3
+    fine_span: float = 2e6
+
+    def __post_init__(self):
+        network.FrequencyGrid(self.f_start, self.f_stop, 2)  # 0 <= f_start < f_stop
+        for name in ("coarse_step", "fine_step", "fine_span"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
-def _require(cfg: dict, key: str, types, errors: list, default=None, required=True):
-    if key not in cfg:
-        if required:
-            errors.append(f"{key}: missing required key")
-        return default
-    v = cfg[key]
-    if not isinstance(v, types) or isinstance(v, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        errors.append(f"{key}: expected {types}, got {type(v).__name__}")
-        return default
-    return v
+@dataclass(frozen=True)
+class NetworkConfig:
+    """Readout chain: `stages` balanced interferometers plus an optional band-stop."""
+
+    saw: SawBpf
+    f_g: float = 1.25e9
+    coupler_tap: float = 0.9
+    stages: int = field(default=2, metadata={"min": 1})
+    band_stop: Notch | None = None
+    spectrum: SpectrumConfig = SpectrumConfig()
+
+    def __post_init__(self):
+        if self.f_g <= 0:
+            raise ValueError("f_g must be positive")
+        if not 0 < self.coupler_tap < 1:
+            raise ValueError("coupler_tap must lie in (0, 1)")
 
 
-def _load_config(path: str, args) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise ConfigError([f"config: cannot read {path}: {e}"]) from None
-    except json.JSONDecodeError as e:
-        raise ConfigError([f"config: invalid JSON in {path}: {e}"]) from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(["config: top level must be a JSON object"])
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.n_gates is not None:
-        cfg["n_gates"] = args.n_gates
-    if args.output_dir is not None:
-        cfg["output_dir"] = args.output_dir
-    return cfg
+@dataclass(frozen=True)
+class WaveformConfig:
+    """Synthesized record; f_g defaults to network.f_g when filtered, else 1.25 GHz."""
+
+    duration: float = 1e-6
+    sample_rate: float = waveform.DEFAULT_SAMPLE_RATE
+    f_g: float | None = None
+    fundamental_amp: float = 0.42
+    harmonics: tuple[tuple[int, float, float], ...] = ()
+    impulse_gate_stride: int = field(default=0, metadata={"min": 0})
+    impulse_fwhm: float = 1.5e-10
+    impulse_peak: float = 1e-3
+    noise_rms: float = field(default=0.0, metadata={"min": 0})
+    filtered: bool = True
 
 
-def _common(cfg: dict, errors: list, need_gates: bool):
-    seed = _require(cfg, "seed", int, errors)
-    out_dir = _require(cfg, "output_dir", str, errors, default=".", required=False)
-    emit = _require(cfg, "emit", list, errors, default=["csv", "json"], required=False)
-    if emit is not None:
-        bad = [e for e in emit if e not in ("csv", "json")]
-        if bad:
-            errors.append(f"emit: entries must be 'csv' or 'json', got {bad}")
-    n_gates = None
-    if need_gates:
-        n_gates = _require(cfg, "n_gates", int, errors)
-        if isinstance(n_gates, int) and n_gates < 1:
-            errors.append("n_gates: must be >= 1")
-    return seed, out_dir, emit or [], n_gates
+@dataclass(frozen=True)
+class Scenario:
+    label: str
+    detector: DetectorConfig
 
 
-def _network_section(cfg: dict, errors: list):
-    net = _require(cfg, "network", dict, errors)
-    if net is None:
-        return None
-    f_g = net.get("f_g", 1.25e9)
-    if not isinstance(f_g, (int, float)) or isinstance(f_g, bool) or f_g <= 0:
-        errors.append("network.f_g: must be a positive number")
-        f_g = 1.25e9
-    saw_cfg = net.get("saw")
-    if not isinstance(saw_cfg, dict):
-        errors.append("network.saw: missing required object")
-        return None
-    saw = _dataclass_from(saw_cfg, network.SawBpf, "network.saw", errors)
-    band_stop = None
-    if net.get("band_stop") is not None:
-        if not isinstance(net["band_stop"], dict):
-            errors.append("network.band_stop: must be an object or null")
-        else:
-            band_stop = _dataclass_from(net["band_stop"], network.Notch, "network.band_stop", errors)
-    stages = net.get("stages", 2)
-    if not isinstance(stages, int) or stages < 1:
-        errors.append("network.stages: must be an integer >= 1")
-        stages = 1
-    tap = net.get("coupler_tap", 0.9)
-    if not isinstance(tap, (int, float)) or not 0 < tap < 1:
-        errors.append("network.coupler_tap: must lie in (0, 1)")
-        tap = 0.9
-    spectrum = net.get("spectrum", {})
-    if not isinstance(spectrum, dict):
-        errors.append("network.spectrum: must be an object")
-        spectrum = {}
-    return {
-        "f_g": float(f_g),
-        "saw": saw,
-        "band_stop": band_stop,
-        "stages": stages,
-        "coupler_tap": float(tap),
-        "spectrum": spectrum,
-    }
+@dataclass(frozen=True)
+class SweepConfig:
+    """Scenarios are preset names until `parse` resolves them to `Scenario`s."""
+
+    scenarios: tuple[str | Scenario, ...]
+
+    def __post_init__(self):
+        if len(self.scenarios) < 2:
+            raise ValueError("scenarios must list at least 2 entries")
 
 
-def _detector_section(cfg: dict, errors: list):
-    extra = None
-    if "presets_file" in cfg:
-        try:
-            extra = presets.load_presets(cfg["presets_file"])
-        except (OSError, ValueError, TypeError) as e:
-            errors.append(f"presets_file: {e}")
-    if "detector_preset" in cfg:
-        try:
-            return presets.get_preset(cfg["detector_preset"], extra)
-        except KeyError as e:
-            errors.append(f"detector_preset: {e.args[0]}")
+@dataclass(frozen=True)
+class MaxrateConfig:
+    flux_list: tuple[float, ...]
+
+    def __post_init__(self):
+        characterize._check_flux_list(self.flux_list)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The top-level keys; `parse` resolves `detector_preset` into `detector`."""
+
+    seed: int = field(metadata={"min": 0})
+    n_gates: int | None = field(default=None, metadata={"min": 1})
+    output_dir: str = "."
+    emit: tuple[Literal["csv", "json"], ...] = ("csv", "json")
+    network: NetworkConfig | None = None
+    detector_preset: str | None = None
+    detector: DetectorConfig | None = None
+    presets_file: str | None = None
+    source: SourceConfig | None = None
+    acquisition: AcquisitionConfig = AcquisitionConfig()
+    histogram_bin: float = 1e-11
+    waveform: WaveformConfig | None = None
+    sweep: SweepConfig | None = None
+    maxrate: MaxrateConfig | None = None
+
+
+_INVALID = object()
+_JSON_TYPES = {float: (int, float), int: int, str: str, bool: bool}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _at(path: str, msg: str, names) -> str:
+    """`path: msg`, narrowed to `path.name` when msg opens with a field name."""
+    head = msg.split(" ", 1)[0]
+    return f"{_join(path, head) if head in names else path or 'config'}: {msg}"
+
+
+def build(tp, value, path: str, errors: list):
+    """`value` read from JSON as type `tp`; each problem is appended to
+    `errors` as `path: message` and makes the result `_INVALID`."""
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        return _build_dataclass(tp, value, path, errors)
+    if origin is UnionType:
+        members = [a for a in args if a is not NoneType]
+        if value is None and len(members) < len(args):
             return None
-    det_cfg = _require(cfg, "detector", dict, errors)
-    if det_cfg is None:
-        return None
-    return _dataclass_from(det_cfg, apd.DetectorConfig, "detector", errors)
+        for m in members[:-1]:
+            if isinstance(value, dict if is_dataclass(m) else m):
+                return build(m, value, path, errors)
+        return build(members[-1], value, path, errors)
+    if origin is Literal:
+        if value in args:
+            return value
+        errors.append(f"{path}: must be one of {list(args)}, got {value!r}")
+        return _INVALID
+    if origin is tuple:
+        if not isinstance(value, list):
+            errors.append(f"{path}: expected a list, got {type(value).__name__}")
+            return _INVALID
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            errors.append(f"{path}: expected {len(args)} entries, got {len(value)}")
+            return _INVALID
+        out = tuple(build(t, v, f"{path}[{i}]", errors) for i, (t, v) in enumerate(zip(args, value)))
+        return _INVALID if any(v is _INVALID for v in out) else out
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES[tp]):
+        errors.append(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
+        return _INVALID
+    if tp is float and not abs(value) <= sys.float_info.max:  # NaN, +-Inf or a huge int
+        errors.append(f"{path}: must be a finite number, got {value!r}")
+        return _INVALID
+    return value
 
 
-def _source_section(cfg: dict, errors: list):
-    src_cfg = _require(cfg, "source", dict, errors)
-    if src_cfg is None:
-        return None
-    return _dataclass_from(src_cfg, apd.SourceConfig, "source", errors)
+_type_hints = functools.cache(get_type_hints)
 
 
-def _acquisition_section(cfg: dict, errors: list):
-    acq_cfg = cfg.get("acquisition", {})
-    if not isinstance(acq_cfg, dict):
-        errors.append("acquisition: must be an object")
-        return None
-    tdc = _dataclass_from(acq_cfg.get("tdc", {}), acquisition.TdcSpec, "acquisition.tdc", errors)
-    disc_cfg = acq_cfg.get("discriminator", {"threshold": 5e-6})
-    disc = _dataclass_from(disc_cfg, acquisition.DiscriminatorSpec, "acquisition.discriminator", errors)
-    offset = acq_cfg.get("gate_offset", 0.0)
-    if not isinstance(offset, (int, float)):
-        errors.append("acquisition.gate_offset: must be a number")
-        offset = 0.0
-    if tdc is None or disc is None:
-        return None
-    return acquisition.AcquisitionConfig(tdc=tdc, discriminator=disc, gate_offset=float(offset))
+def _build_dataclass(cls, value, path: str, errors: list):
+    if not isinstance(value, dict):
+        errors.append(f"{path}: expected an object, got {type(value).__name__}")
+        return _INVALID
+    hints = _type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    n_errors = len(errors)
+    errors.extend(f"{_join(path, k)}: unknown key" for k in value if k not in names)
+    kwargs = {}
+    for f in fields(cls):
+        p = _join(path, f.name)
+        if f.name not in value:
+            if f.default is MISSING and f.default_factory is MISSING:
+                errors.append(f"{p}: missing required key")
+            continue
+        v = build(hints[f.name], value[f.name], p, errors)
+        low = f.metadata.get("min")
+        if low is not None and v is not _INVALID and v is not None and v < low:
+            errors.append(f"{p}: must be >= {low}")
+        kwargs[f.name] = v
+    if len(errors) > n_errors:
+        return _INVALID
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        errors.append(_at(path, str(e), names))
+        return _INVALID
+
+
+# Sections each subcommand needs; the waveform command also needs `network` when filtered.
+_NEEDS = {"design": ("network",), "spectrum": ("network",), "waveform": ("waveform",),
+          "simulate": ("n_gates", "detector", "source"), "characterize": ("n_gates", "detector", "source"),
+          "sweep": ("n_gates", "sweep", "source"), "maxrate": ("n_gates", "detector", "maxrate")}
 
 
 def _raise_if(errors: list):
     if errors:
-        raise ConfigError(errors)
+        raise ConfigError(dict.fromkeys(errors))
 
 
-def _build_design(net):
-    design = network.solve_unic_delay(net["saw"].group_delay, net["f_g"], net["coupler_tap"])
-    return network.balanced_design(design, net["saw"])
+def _load_config(path: str, args) -> dict:
+    try:
+        cfg = _io.read_json(path)
+    except OSError as e:
+        raise ConfigError([f"config: cannot read {path}: {e}"]) from None
+    except ValueError as e:
+        raise ConfigError([f"config: invalid JSON in {path}: {e}"]) from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(["config: top level must be a JSON object"])
+    for key in ("seed", "n_gates", "output_dir"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    return cfg
 
 
-def _chain_responses(net, grid) -> network.TwoPortResponse:
-    design = _build_design(net)
-    unic = network.unic_response(design, net["saw"], grid)
-    parts = [unic] * net["stages"]
-    if net["band_stop"] is not None:
-        parts.append(network.block_response(net["band_stop"], grid))
-    return network.cascade(parts)
+def _load_presets(path: str, errors: list) -> dict:
+    try:
+        raw = _io.read_json(path)
+    except (OSError, ValueError) as e:
+        errors.append(f"presets_file: cannot read {path}: {e}")
+        return {}
+    if not isinstance(raw, dict):
+        errors.append("presets_file: must be a JSON object keyed by preset name")
+        return {}
+    return {name: build(DetectorConfig, entry, f"presets_file.{name}", errors)
+            for name, entry in raw.items()}
 
 
-def _emit_path(out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+def _resolve_detectors(cfg: ExperimentConfig, errors: list) -> ExperimentConfig:
+    """`cfg` with `detector_preset` and the preset names in `sweep` looked up."""
+    extra = _load_presets(cfg.presets_file, errors) if cfg.presets_file is not None else {}
+
+    def preset(name, path):
+        try:
+            return presets.get_preset(name, extra)
+        except KeyError as e:
+            errors.append(f"{path}: {e.args[0]}")
+
+    detector = cfg.detector if cfg.detector_preset is None else preset(cfg.detector_preset, "detector_preset")
+    sweep = cfg.sweep and SweepConfig(tuple(
+        s if isinstance(s, Scenario) else Scenario(s, preset(s, f"sweep.scenarios[{i}]"))
+        for i, s in enumerate(cfg.sweep.scenarios)))
+    return replace(cfg, detector=detector, sweep=sweep)
+
+
+# Config path of the value that the first word of a run check's message names.
+_RUN_PATHS = {"mode": "source.mode", "laser_rate": "source.laser_rate", "n_gates": "n_gates",
+              "illuminated_gate_phase": "source.illuminated_gate_phase", "bin_width": "histogram_bin"}
+
+
+def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
+    """Checks that need the detector and the source together."""
+    if command == "sweep":
+        detectors = [s.detector for s in cfg.sweep.scenarios]
+    elif command == "characterize" or command == "simulate" and cfg.source.mode == "pulsed":
+        detectors = [cfg.detector]
+    else:
+        return
+    for det in detectors:
+        try:
+            r = characterize._pulsed_ratio(det, cfg.source, None if command == "simulate" else cfg.n_gates)
+            if command == "characterize":
+                acquisition._fold_bins(r / det.f_g, cfg.histogram_bin)  # R/f_g: the fold period
+        except ValueError as e:
+            errors.append(f"{_RUN_PATHS.get(str(e).split(' ', 1)[0], 'source')}: {e}")
+
+
+def parse(command: str, raw: dict) -> ExperimentConfig:
+    """The typed config for `command`, or ConfigError naming every offending path.
+
+    Field errors are listed together; preset names, required sections and
+    cross-section checks are checked once the fields they rest on are valid.
+    """
+    errors: list[str] = []
+    cfg = build(ExperimentConfig, raw, "", errors)
+    _raise_if(errors)
+    cfg = _resolve_detectors(cfg, errors)
+    _raise_if(errors)
+    needs = _NEEDS[command]
+    if command == "waveform" and cfg.waveform is not None and cfg.waveform.filtered:
+        needs += ("network",)
+    _raise_if([f"{key}: missing required key" for key in needs if getattr(cfg, key) is None])
+    _check_runs(command, cfg, errors)
+    _raise_if(errors)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_design(cfg) -> list[str]:
-    errors: list[str] = []
-    _, out_dir, emit, _ = _common(cfg, errors, need_gates=False)
-    net = _network_section(cfg, errors)
-    _raise_if(errors)
+def _build_design(net: NetworkConfig):
+    design = network.solve_unic_delay(net.saw.group_delay, float(net.f_g), net.coupler_tap)
+    return network.balanced_design(design, net.saw)
+
+
+def _chain_responses(net: NetworkConfig, grid) -> network.TwoPortResponse:
     design = _build_design(net)
-    written = []
-    if "json" in emit:
-        path = _emit_path(out_dir, "design.json")
-        network.write_design_report(path, design)
-        written.append(path)
-    print(
-        f"design: n={design.n} delta_t_s={design.delta_t!r} "
-        f"att_balance_db={design.att_balance_db!r} half_wave_warning={design.half_wave_warning}"
-    )
+    unic = network.unic_response(design, net.saw, grid)
+    parts = [unic] * net.stages
+    if net.band_stop is not None:
+        parts.append(network.block_response(net.band_stop, grid))
+    return network.cascade(parts)
+
+
+def _out(cfg: ExperimentConfig, name: str, written: list) -> str:
+    """Path of output file `name`, recorded in `written`."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    path = os.path.join(cfg.output_dir, name)
+    written.append(path)
+    return path
+
+
+def cmd_design(cfg: ExperimentConfig) -> list[str]:
+    design = _build_design(cfg.network)
+    written: list[str] = []
+    if "json" in cfg.emit:
+        network.write_design_report(_out(cfg, "design.json", written), design)
+    print(f"design: n={design.n} delta_t_s={design.delta_t!r} "
+          f"att_balance_db={design.att_balance_db!r} half_wave_warning={design.half_wave_warning}")
     return written
 
 
-def cmd_spectrum(cfg) -> list[str]:
-    errors: list[str] = []
-    _, out_dir, emit, _ = _common(cfg, errors, need_gates=False)
-    net = _network_section(cfg, errors)
-    _raise_if(errors)
-    sp = net["spectrum"]
-    f_g = net["f_g"]
-    f_start = float(sp.get("f_start", 1e8))
-    f_stop = float(sp.get("f_stop", 2.5e9))
-    coarse_step = float(sp.get("coarse_step", 1e5))
-    fine_step = float(sp.get("fine_step", 1e3))
-    fine_span = float(sp.get("fine_span", 2e6))
-
-    metrics_resp = _chain_responses(net, network.metrics_grid(step=min(fine_step, 1e3)))
+def cmd_spectrum(cfg: ExperimentConfig) -> list[str]:
+    net, sp = cfg.network, cfg.network.spectrum
+    f_g = float(net.f_g)
+    metrics_resp = _chain_responses(net, network.metrics_grid(step=min(sp.fine_step, 1e3)))
     metrics = network.null_metrics(metrics_resp, f_g)
 
-    written = []
-    if "csv" in emit:
-        n_fine = int(round(fine_span / fine_step)) + 1
-        fine_grid = network.FrequencyGrid(f_g - fine_span / 2, f_g - fine_span / 2 + (n_fine - 1) * fine_step, n_fine)
-        n_coarse = int(round((f_stop - f_start) / coarse_step)) + 1
-        coarse_grid = network.FrequencyGrid(f_start, f_start + (n_coarse - 1) * coarse_step, n_coarse)
-        path = _emit_path(out_dir, "spectrum.csv")
-        network.write_spectrum_csv(path, [_chain_responses(net, fine_grid),
-                                          _chain_responses(net, coarse_grid)])
-        written.append(path)
-    if "json" in emit:
-        path = _emit_path(out_dir, "null_metrics.json")
-        with open(path, "w") as fh:
-            json.dump(
-                {
-                    "f_null_hz": metrics.f_null,
-                    "depth_db": metrics.depth_db,
-                    "width_30db_hz": metrics.width_30db,
-                    "background_loss_db": metrics.background_loss_db,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-        written.append(path)
-    print(
-        f"spectrum: depth_db={metrics.depth_db:.2f} width_30db_hz={metrics.width_30db:.6g} "
-        f"background_loss_db={metrics.background_loss_db:.2f}"
-    )
+    written: list[str] = []
+    if "csv" in cfg.emit:
+        n_fine = int(round(sp.fine_span / sp.fine_step)) + 1
+        fine_start = f_g - sp.fine_span / 2
+        fine_grid = network.FrequencyGrid(fine_start, fine_start + (n_fine - 1) * sp.fine_step, n_fine)
+        n_coarse = int(round((sp.f_stop - sp.f_start) / sp.coarse_step)) + 1
+        coarse_grid = network.FrequencyGrid(sp.f_start, sp.f_start + (n_coarse - 1) * sp.coarse_step, n_coarse)
+        network.write_spectrum_csv(_out(cfg, "spectrum.csv", written),
+                                   [_chain_responses(net, fine_grid), _chain_responses(net, coarse_grid)])
+    if "json" in cfg.emit:
+        _io.write_json(_out(cfg, "null_metrics.json", written), {
+            "f_null_hz": metrics.f_null, "depth_db": metrics.depth_db,
+            "width_30db_hz": metrics.width_30db, "background_loss_db": metrics.background_loss_db})
+    print(f"spectrum: depth_db={metrics.depth_db:.2f} width_30db_hz={metrics.width_30db:.6g} "
+          f"background_loss_db={metrics.background_loss_db:.2f}")
     return written
 
 
-def cmd_waveform(cfg) -> list[str]:
-    errors: list[str] = []
-    seed, out_dir, emit, _ = _common(cfg, errors, need_gates=False)
-    wf = _require(cfg, "waveform", dict, errors)
-    net = _network_section(cfg, errors) if (wf or {}).get("filtered", True) else None
-    _raise_if(errors)
+def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
+    wf = cfg.waveform
+    net = cfg.network if wf.filtered else None
+    f_g = float(wf.f_g if wf.f_g is not None else net.f_g if net else 1.25e9)
+    gate_spec = waveform.GateWaveSpec(f_g, wf.fundamental_amp, wf.harmonics)
+    record = waveform.synth_capacitive(gate_spec, wf.duration, wf.sample_rate)
 
-    rate = float(wf.get("sample_rate", waveform.DEFAULT_SAMPLE_RATE))
-    duration = float(wf.get("duration", 1e-6))
-    f_g = float(wf.get("f_g", net["f_g"] if net else 1.25e9))
-    harmonics = tuple(tuple(h) for h in wf.get("harmonics", []))
-    gate_spec = waveform.GateWaveSpec(f_g, float(wf.get("fundamental_amp", 0.42)), harmonics)
-    record = waveform.synth_capacitive(gate_spec, duration, rate)
-
-    stride = int(wf.get("impulse_gate_stride", 0))
+    stride = wf.impulse_gate_stride
     if stride > 0:
-        impulse = waveform.ImpulseSpec(fwhm=float(wf.get("impulse_fwhm", 1.5e-10)),
-                                       peak=float(wf.get("impulse_peak", 1e-3)))
-        period = 1.0 / f_g
-        times = np.arange(stride, int(duration * f_g) - 1, stride) * period
+        impulse = waveform.ImpulseSpec(fwhm=wf.impulse_fwhm, peak=wf.impulse_peak)
+        times = np.arange(stride, int(wf.duration * f_g) - 1, stride) * (1.0 / f_g)
         record = waveform.add_impulses(record, impulse, times)
 
-    noise_rms = float(wf.get("noise_rms", 0.0))
-    if noise_rms > 0:
-        record = waveform.add_noise(record, noise_rms, seed)
+    if wf.noise_rms > 0:
+        record = waveform.add_noise(record, wf.noise_rms, cfg.seed)
 
     if net is not None:
         n_pts = waveform.DEFAULT_IR_LENGTH // 2 + 1
-        grid = network.FrequencyGrid(0.0, rate / 2.0, n_pts)
+        grid = network.FrequencyGrid(0.0, wf.sample_rate / 2.0, n_pts)
         record = waveform.apply_response(record, _chain_responses(net, grid))
 
-    written = []
-    bin_path = _emit_path(out_dir, "waveform.bin")
-    waveform.write_waveform_binary(bin_path, record)
-    written.append(bin_path)
-    if "csv" in emit:
-        path = _emit_path(out_dir, "waveform.csv")
-        waveform.write_waveform_csv(path, record)
-        written.append(path)
+    written: list[str] = []
+    waveform.write_waveform_binary(_out(cfg, "waveform.bin", written), record)
+    if "csv" in cfg.emit:
+        waveform.write_waveform_csv(_out(cfg, "waveform.csv", written), record)
     print(f"waveform: n_samples={len(record)} rms_v={record.rms()!r}")
     return written
 
 
-def cmd_simulate(cfg) -> list[str]:
-    errors: list[str] = []
-    seed, out_dir, emit, n_gates = _common(cfg, errors, need_gates=True)
-    det = _detector_section(cfg, errors)
-    src = _source_section(cfg, errors)
-    acq = _acquisition_section(cfg, errors)
-    _raise_if(errors)
-
-    stream = apd.simulate(det, src, n_gates, seed)
+def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
+    det, src, acq, n_gates = cfg.detector, cfg.source, cfg.acquisition, cfg.n_gates
+    stream = apd.simulate(det, src, n_gates, cfg.seed)
     ts = acquisition.tdc(stream.time, acq.tdc)
-    written = []
-    ts_path = _emit_path(out_dir, "timestamps.bin")
-    acquisition.write_timestamps_binary(ts_path, ts)
-    written.append(ts_path)
-    if "csv" in emit:
-        path = _emit_path(out_dir, "events.csv")
-        apd.write_events_csv(path, stream)
-        written.append(path)
-    if "json" in emit:
-        path = _emit_path(out_dir, "summary.json")
+    written: list[str] = []
+    acquisition.write_timestamps_binary(_out(cfg, "timestamps.bin", written), ts)
+    if "csv" in cfg.emit:
+        apd.write_events_csv(_out(cfg, "events.csv", written), stream)
+    if "json" in cfg.emit:
         summary = {"n_gates": n_gates, "n_events": len(stream), "counts": stream.counts(),
                    "n_timestamps": int(ts.size)}
         if src.mode == "pulsed":
@@ -335,141 +424,54 @@ def cmd_simulate(cfg) -> list[str]:
                                       src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
             summary["p_i"] = gc.p_i
             summary["p_ni"] = gc.p_ni
-        with open(path, "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        written.append(path)
+        _io.write_json(_out(cfg, "summary.json", written), summary)
     print(f"simulate: n_events={len(stream)} counts={stream.counts()}")
     return written
 
 
-def cmd_characterize(cfg) -> list[str]:
-    errors: list[str] = []
-    seed, out_dir, emit, n_gates = _common(cfg, errors, need_gates=True)
-    det = _detector_section(cfg, errors)
-    src = _source_section(cfg, errors)
-    acq = _acquisition_section(cfg, errors)
-    _raise_if(errors)
-
-    report, _, ts_on = characterize._characterize_streams(det, src, acq, n_gates, seed)
-    written = []
-    if "json" in emit:
-        path = _emit_path(out_dir, "run_report.json")
-        characterize.write_run_report(path, report)
-        written.append(path)
-        gc = acquisition.GateCounts(
-            n_gates_illuminated=report.n_gates_illuminated,
-            n_gates_non_illuminated=report.n_gates_non_illuminated,
-            clicks_illuminated=report.clicks_illuminated,
-            clicks_non_illuminated=report.clicks_non_illuminated,
-            p_i=report.p_i,
-            p_ni=report.p_ni,
-        )
-        path = _emit_path(out_dir, "gate_counts.json")
-        acquisition.write_gate_counts_json(path, gc)
-        written.append(path)
-    if "csv" in emit:
-        bin_s = float(cfg.get("histogram_bin", 1e-11))
-        period = report.r / det.f_g
-        hist = acquisition.histogram(ts_on, period, bin_s)
-        path = _emit_path(out_dir, "histogram.csv")
-        acquisition.write_histogram_csv(path, hist)
-        written.append(path)
-    print(
-        f"characterize: eta_net={report.eta_net!r} p_a={report.p_a!r} p_d={report.p_d!r}"
-    )
+def cmd_characterize(cfg: ExperimentConfig) -> list[str]:
+    det = cfg.detector
+    report, _, ts_on = characterize._characterize_streams(det, cfg.source, cfg.acquisition,
+                                                          cfg.n_gates, cfg.seed)
+    written: list[str] = []
+    if "json" in cfg.emit:
+        characterize.write_run_report(_out(cfg, "run_report.json", written), report)
+        gc = acquisition.GateCounts(**{f.name: getattr(report, f.name) for f in fields(acquisition.GateCounts)})
+        acquisition.write_gate_counts_json(_out(cfg, "gate_counts.json", written), gc)
+    if "csv" in cfg.emit:
+        hist = acquisition.histogram(ts_on, report.r / det.f_g, cfg.histogram_bin)
+        acquisition.write_histogram_csv(_out(cfg, "histogram.csv", written), hist)
+    print(f"characterize: eta_net={report.eta_net!r} p_a={report.p_a!r} p_d={report.p_d!r}")
     return written
 
 
-def _scenario_list(cfg, errors):
-    sweep_cfg = _require(cfg, "sweep", dict, errors)
-    if sweep_cfg is None:
-        return None
-    entries = sweep_cfg.get("scenarios")
-    if not isinstance(entries, list) or len(entries) < 2:
-        errors.append("sweep.scenarios: must be a list of at least 2 entries")
-        return None
-    extra = None
-    if "presets_file" in cfg:
-        try:
-            extra = presets.load_presets(cfg["presets_file"])
-        except (OSError, ValueError, TypeError) as e:
-            errors.append(f"presets_file: {e}")
-    out = []
-    for i, entry in enumerate(entries):
-        if isinstance(entry, str):
-            try:
-                out.append((entry, presets.get_preset(entry, extra)))
-            except KeyError as e:
-                errors.append(f"sweep.scenarios[{i}]: {e.args[0]}")
-        elif isinstance(entry, dict) and "label" in entry and "detector" in entry:
-            det = _dataclass_from(entry["detector"], apd.DetectorConfig,
-                                  f"sweep.scenarios[{i}].detector", errors)
-            if det is not None:
-                out.append((str(entry["label"]), det))
-        else:
-            errors.append(f"sweep.scenarios[{i}]: must be a preset name or {{label, detector}}")
-    return out
-
-
-def cmd_sweep(cfg) -> list[str]:
-    errors: list[str] = []
-    seed, out_dir, emit, n_gates = _common(cfg, errors, need_gates=True)
-    scenarios = _scenario_list(cfg, errors)
-    src = _source_section(cfg, errors)
-    acq = _acquisition_section(cfg, errors)
-    _raise_if(errors)
-
-    result = characterize.efficiency_sweep(scenarios, src, acq, n_gates, seed)
-    written = []
-    if "csv" in emit:
-        path = _emit_path(out_dir, "sweep.csv")
-        characterize.write_sweep_csv(path, result)
-        written.append(path)
-    if "json" in emit:
-        path = _emit_path(out_dir, "sweep.json")
-        with open(path, "w") as fh:
-            json.dump({"reports": [r.to_dict() for r in result.reports]}, fh, indent=2)
-            fh.write("\n")
-        written.append(path)
+def cmd_sweep(cfg: ExperimentConfig) -> list[str]:
+    scenarios = [(s.label, s.detector) for s in cfg.sweep.scenarios]
+    result = characterize.efficiency_sweep(scenarios, cfg.source, cfg.acquisition, cfg.n_gates, cfg.seed)
+    written: list[str] = []
+    if "csv" in cfg.emit:
+        characterize.write_sweep_csv(_out(cfg, "sweep.csv", written), result)
+    if "json" in cfg.emit:
+        _io.write_json(_out(cfg, "sweep.json", written), {"reports": [r.to_dict() for r in result.reports]})
     for p in result.points:
         print(f"sweep[{p.label}]: eta_net={p.eta_net!r} p_a={p.p_a!r} p_d={p.p_d!r}")
     return written
 
 
-def cmd_maxrate(cfg) -> list[str]:
-    errors: list[str] = []
-    seed, out_dir, emit, n_gates = _common(cfg, errors, need_gates=True)
-    det = _detector_section(cfg, errors)
-    acq = _acquisition_section(cfg, errors)
-    mr = _require(cfg, "maxrate", dict, errors)
-    flux_list = None
-    if mr is not None:
-        flux_list = mr.get("flux_list")
-        if not isinstance(flux_list, list) or not flux_list or not all(
-            isinstance(x, (int, float)) for x in flux_list
-        ):
-            errors.append("maxrate.flux_list: must be a non-empty list of numbers")
-    _raise_if(errors)
-
-    result = characterize.count_rate_vs_flux(det, acq, [float(x) for x in flux_list], n_gates, seed)
-    written = []
-    if "csv" in emit:
-        path = _emit_path(out_dir, "maxrate.csv")
-        characterize.write_sweep_csv(path, result)
-        written.append(path)
-    if "json" in emit:
-        path = _emit_path(out_dir, "maxrate.json")
+def cmd_maxrate(cfg: ExperimentConfig) -> list[str]:
+    flux_list = [float(x) for x in cfg.maxrate.flux_list]
+    result = characterize.count_rate_vs_flux(cfg.detector, cfg.acquisition, flux_list, cfg.n_gates, cfg.seed)
+    written: list[str] = []
+    if "csv" in cfg.emit:
+        characterize.write_sweep_csv(_out(cfg, "maxrate.csv", written), result)
+    if "json" in cfg.emit:
         rows = [
             {"flux": p.flux, "rate_hz": p.rate_hz, "photocurrent_a": p.photocurrent_a,
              "charge_c": characterize.charge_from_photocurrent(p.photocurrent_a, p.rate_hz)
              if p.rate_hz > 0 else 0.0}
             for p in result.points
         ]
-        with open(path, "w") as fh:
-            json.dump({"points": rows}, fh, indent=2)
-            fh.write("\n")
-        written.append(path)
+        _io.write_json(_out(cfg, "maxrate.json", written), {"points": rows})
     for p in result.points:
         print(f"maxrate[{p.label}]: flux={p.flux!r} rate_hz={p.rate_hz!r}")
     return written
@@ -504,15 +506,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args)
+        cfg = parse(args.command, _load_config(args.config, args))
         written = _COMMANDS[args.command](cfg)
     except ConfigError as e:
-        json.dump({"error": "config", "paths": e.paths}, sys.stderr)
-        sys.stderr.write("\n")
+        print(json.dumps({"error": "config", "paths": e.paths}), file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, TypeError, KeyError, OSError) as e:
-        json.dump({"error": "runtime", "message": f"{type(e).__name__}: {e}"}, sys.stderr)
-        sys.stderr.write("\n")
+    except (ValueError, TypeError, KeyError, OSError, ArithmeticError) as e:
+        print(json.dumps({"error": "runtime", "message": f"{type(e).__name__}: {e}"}), file=sys.stderr)
         return EXIT_RUNTIME
     for path in written:
         print(f"wrote {path}")

@@ -12,11 +12,12 @@ avalanche impulses pass with little distortion.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._io import read_csv, write_csv, write_json
 
 __all__ = [
     "FrequencyGrid",
@@ -479,11 +480,7 @@ def design_report(design: UnicDesign) -> dict:
 
 
 def write_design_report(path, design: UnicDesign) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(design_report(design), fh, indent=2)
-        fh.write("\n")
+    write_json(path, design_report(design))
 
 
 def spectrum_columns(resp: TwoPortResponse):
@@ -499,36 +496,20 @@ def spectrum_columns(resp: TwoPortResponse):
     return f, mag_db, phase, gd_ns
 
 
+_SPECTRUM_HEADER = ["freq_hz", "mag_db", "phase_rad", "group_delay_ns"]
+
+
 def write_spectrum_csv(path, responses: list[TwoPortResponse]) -> None:
     """Merge one or more responses into a single sorted spectrum CSV.
 
     Overlapping frequencies keep the value from the earliest response in the
     list (dense segments should be passed first).
     """
-    blocks = [spectrum_columns(r) for r in responses]
-    seen: set[float] = set()
-    rows = []
-    for f, m, p, g in blocks:
-        for i in range(len(f)):
-            key = float(f[i])
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append((key, float(m[i]), float(p[i]), float(g[i])))
-    rows.sort(key=lambda r: r[0])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["freq_hz", "mag_db", "phase_rad", "group_delay_ns"])
-        for r in rows:
-            w.writerow([repr(v) for v in r])
+    cols = [np.concatenate(c) for c in zip(*[spectrum_columns(r) for r in responses])]
+    _, first = np.unique(cols[0], return_index=True)
+    write_csv(path, _SPECTRUM_HEADER, [c[first] for c in cols])
 
 
 def read_spectrum_csv(path):
     """Read a spectrum CSV back into (freq_hz, mag_db, phase_rad, group_delay_ns)."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["freq_hz", "mag_db", "phase_rad", "group_delay_ns"]:
-            raise ValueError(f"unexpected spectrum header: {header}")
-        cols = list(zip(*[[float(x) for x in row] for row in r]))
-    return tuple(np.asarray(c) for c in cols)
+    return tuple(np.asarray([float(x) for x in c]) for c in read_csv(path, _SPECTRUM_HEADER))

@@ -10,9 +10,9 @@ fields.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 
+from ._io import read_json, write_json
 from .apd import DetectorConfig
 
 __all__ = ["DETECTOR_PRESETS", "get_preset", "load_presets", "save_presets"]
@@ -57,14 +57,11 @@ def get_preset(name: str, extra: dict[str, DetectorConfig] | None = None) -> Det
 
 
 def load_presets(path) -> dict[str, DetectorConfig]:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError("preset file must be a JSON object keyed by preset name")
     return {name: DetectorConfig(**fields) for name, fields in raw.items()}
 
 
 def save_presets(path, presets: dict[str, DetectorConfig]) -> None:
-    with open(path, "w") as fh:
-        json.dump({name: asdict(cfg) for name, cfg in presets.items()}, fh, indent=2)
-        fh.write("\n")
+    write_json(path, {name: asdict(cfg) for name, cfg in presets.items()})

@@ -10,13 +10,13 @@ null depth with no turn-on transient.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import read_csv, write_csv
 from .network import TwoPortResponse
 
 __all__ = [
@@ -104,11 +104,6 @@ class GateWaveSpec:
             raise ValueError("harmonic orders must be >= 2")
         if len(set(orders)) != len(orders):
             raise ValueError("harmonic orders must be distinct")
-
-    @classmethod
-    def with_default_harmonics(cls, f_g: float, fundamental_amp: float) -> "GateWaveSpec":
-        """Fundamental plus a 20%-amplitude second harmonic (exercises the band-stop)."""
-        return cls(f_g, fundamental_amp, ((2, 0.2 * fundamental_amp, 0.0),))
 
     @property
     def max_frequency(self) -> float:
@@ -276,25 +271,16 @@ def add_noise(w: Waveform, rms: float, seed: int) -> Waveform:
 # File formats
 # ---------------------------------------------------------------------------
 
+_CSV_HEADER = ["time_s", "volts"]
+
+
 def write_waveform_csv(path, w: Waveform) -> None:
-    t = w.times()
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_s", "volts"])
-        for i in range(len(w)):
-            wr.writerow([repr(float(t[i])), repr(float(w.samples[i]))])
+    write_csv(path, _CSV_HEADER, [w.times(), w.samples])
 
 
 def read_waveform_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["time_s", "volts"]:
-            raise ValueError(f"unexpected waveform header: {header}")
-        rows = [(float(a), float(b)) for a, b in r]
-    t = np.asarray([a for a, _ in rows])
-    v = np.asarray([b for _, b in rows])
-    return t, v
+    t, v = read_csv(path, _CSV_HEADER)
+    return np.asarray([float(x) for x in t]), np.asarray([float(x) for x in v])
 
 
 _BIN_HEADER = struct.Struct("<ddQ")
