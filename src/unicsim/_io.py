@@ -28,13 +28,18 @@ def write_csv(path, header, columns) -> None:
 
 
 def read_csv(path, header) -> list[list[str]]:
-    """Columns of string cells, after checking the header row."""
+    """Columns of string cells, after checking the header row and that every
+    row has one cell per header column."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         got = next(r, None)
         if got != list(header):
             raise ValueError(f"unexpected CSV header in {path}: {got}, expected {list(header)}")
         rows = list(r)
+    n = len(header)
+    if any(map(n.__ne__, map(len, rows))):
+        i = next(i for i, row in enumerate(rows) if len(row) != n)
+        raise ValueError(f"{path}, row {i + 2}: expected {n} cells, got {len(rows[i])}")
     return [list(c) for c in zip(*rows)] if rows else [[] for _ in header]
 
 

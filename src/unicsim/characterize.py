@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def _characterize_streams(det, src, acq, n_gates, seed):
     dark_clicks = gc_off.clicks_illuminated + gc_off.clicks_non_illuminated
     p_d = dark_clicks / n_gates
 
-    p_i, p_ni = gc.p_i, gc.p_ni
+    p_i, p_ni = gc.p_i, gc.p_ni  # RunReport takes every GateCounts field
     s_i = _binomial_sigma(p_i, gc.n_gates_illuminated)
     s_ni = _binomial_sigma(p_ni, gc.n_gates_non_illuminated)
     s_d = _binomial_sigma(p_d, n_gates)
@@ -197,26 +197,9 @@ def _characterize_streams(det, src, acq, n_gates, seed):
     eta = net_efficiency(p_i, p_ni, src.mu)
     s_eta = _efficiency_sigma(p_i, p_ni, src.mu, s_i, s_ni)
 
-    report = RunReport(
-        p_i=p_i,
-        p_ni=p_ni,
-        p_d=p_d,
-        r=r,
-        mu=src.mu,
-        p_a=p_a,
-        eta_net=eta,
-        n_gates_illuminated=gc.n_gates_illuminated,
-        n_gates_non_illuminated=gc.n_gates_non_illuminated,
-        clicks_illuminated=gc.clicks_illuminated,
-        clicks_non_illuminated=gc.clicks_non_illuminated,
-        dark_gates=n_gates,
-        dark_clicks=dark_clicks,
-        p_i_sigma=s_i,
-        p_ni_sigma=s_ni,
-        p_d_sigma=s_d,
-        p_a_sigma=s_a,
-        eta_net_sigma=s_eta,
-    )
+    report = RunReport(**asdict(gc), p_d=p_d, r=r, mu=src.mu, p_a=p_a, eta_net=eta,
+                       dark_gates=n_gates, dark_clicks=dark_clicks, p_i_sigma=s_i, p_ni_sigma=s_ni,
+                       p_d_sigma=s_d, p_a_sigma=s_a, eta_net_sigma=s_eta)
     return report, stream_on, ts_on
 
 

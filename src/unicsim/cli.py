@@ -10,17 +10,16 @@ machine-readable JSON object to stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from types import NoneType, UnionType
-from typing import Literal, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, fields, replace
+from typing import Literal
 
 import numpy as np
 
 from . import _io, acquisition, apd, characterize, network, presets, waveform
+from ._schema import ConfigError, at, build
 from .acquisition import AcquisitionConfig
 from .apd import DetectorConfig, SourceConfig
 from .network import Notch, SawBpf
@@ -28,12 +27,6 @@ from .network import Notch, SawBpf
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-class ConfigError(Exception):
-    def __init__(self, paths):
-        self.paths = list(paths)
-        super().__init__("; ".join(self.paths))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +57,7 @@ class NetworkConfig:
     saw: SawBpf
     f_g: float = 1.25e9
     coupler_tap: float = 0.9
-    stages: int = field(default=2, metadata={"min": 1})
+    stages: int = 2
     band_stop: Notch | None = None
     spectrum: SpectrumConfig = SpectrumConfig()
 
@@ -73,6 +66,8 @@ class NetworkConfig:
             raise ValueError("f_g must be positive")
         if not 0 < self.coupler_tap < 1:
             raise ValueError("coupler_tap must lie in (0, 1)")
+        if self.stages < 1:
+            raise ValueError("stages must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -84,11 +79,15 @@ class WaveformConfig:
     f_g: float | None = None
     fundamental_amp: float = 0.42
     harmonics: tuple[tuple[int, float, float], ...] = ()
-    impulse_gate_stride: int = field(default=0, metadata={"min": 0})
+    impulse_gate_stride: int = 0
     impulse_fwhm: float = 1.5e-10
     impulse_peak: float = 1e-3
-    noise_rms: float = field(default=0.0, metadata={"min": 0})
+    noise_rms: float = 0.0
     filtered: bool = True
+
+    def __post_init__(self):
+        if self.noise_rms < 0:
+            raise ValueError("noise_rms must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,8 @@ class MaxrateConfig:
 class ExperimentConfig:
     """The top-level keys; `parse` resolves `detector_preset` into `detector`."""
 
-    seed: int = field(metadata={"min": 0})
-    n_gates: int | None = field(default=None, metadata={"min": 1})
+    seed: int
+    n_gates: int | None = None
     output_dir: str = "."
     emit: tuple[Literal["csv", "json"], ...] = ("csv", "json")
     network: NetworkConfig | None = None
@@ -135,90 +134,9 @@ class ExperimentConfig:
     sweep: SweepConfig | None = None
     maxrate: MaxrateConfig | None = None
 
-
-_INVALID = object()
-_JSON_TYPES = {float: (int, float), int: int, str: str, bool: bool}
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _at(path: str, msg: str, names) -> str:
-    """`path: msg`, narrowed to `path.name` when msg opens with a field name."""
-    head = msg.split(" ", 1)[0]
-    return f"{_join(path, head) if head in names else path or 'config'}: {msg}"
-
-
-def build(tp, value, path: str, errors: list):
-    """`value` read from JSON as type `tp`; each problem is appended to
-    `errors` as `path: message` and makes the result `_INVALID`."""
-    origin, args = get_origin(tp), get_args(tp)
-    if is_dataclass(tp):
-        return _build_dataclass(tp, value, path, errors)
-    if origin is UnionType:
-        members = [a for a in args if a is not NoneType]
-        if value is None and len(members) < len(args):
-            return None
-        for m in members[:-1]:
-            if isinstance(value, dict if is_dataclass(m) else m):
-                return build(m, value, path, errors)
-        return build(members[-1], value, path, errors)
-    if origin is Literal:
-        if value in args:
-            return value
-        errors.append(f"{path}: must be one of {list(args)}, got {value!r}")
-        return _INVALID
-    if origin is tuple:
-        if not isinstance(value, list):
-            errors.append(f"{path}: expected a list, got {type(value).__name__}")
-            return _INVALID
-        if args[-1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
-            errors.append(f"{path}: expected {len(args)} entries, got {len(value)}")
-            return _INVALID
-        out = tuple(build(t, v, f"{path}[{i}]", errors) for i, (t, v) in enumerate(zip(args, value)))
-        return _INVALID if any(v is _INVALID for v in out) else out
-    if isinstance(value, bool) != (tp is bool) or not isinstance(value, _JSON_TYPES[tp]):
-        errors.append(f"{path}: expected {tp.__name__}, got {type(value).__name__}")
-        return _INVALID
-    if tp is float and not abs(value) <= sys.float_info.max:  # NaN, +-Inf or a huge int
-        errors.append(f"{path}: must be a finite number, got {value!r}")
-        return _INVALID
-    return value
-
-
-_type_hints = functools.cache(get_type_hints)
-
-
-def _build_dataclass(cls, value, path: str, errors: list):
-    if not isinstance(value, dict):
-        errors.append(f"{path}: expected an object, got {type(value).__name__}")
-        return _INVALID
-    hints = _type_hints(cls)
-    names = [f.name for f in fields(cls)]
-    n_errors = len(errors)
-    errors.extend(f"{_join(path, k)}: unknown key" for k in value if k not in names)
-    kwargs = {}
-    for f in fields(cls):
-        p = _join(path, f.name)
-        if f.name not in value:
-            if f.default is MISSING and f.default_factory is MISSING:
-                errors.append(f"{p}: missing required key")
-            continue
-        v = build(hints[f.name], value[f.name], p, errors)
-        low = f.metadata.get("min")
-        if low is not None and v is not _INVALID and v is not None and v < low:
-            errors.append(f"{p}: must be >= {low}")
-        kwargs[f.name] = v
-    if len(errors) > n_errors:
-        return _INVALID
-    try:
-        return cls(**kwargs)
-    except ValueError as e:
-        errors.append(_at(path, str(e), names))
-        return _INVALID
+    def __post_init__(self):
+        if self.n_gates is not None and self.n_gates < 1:
+            raise ValueError("n_gates must be >= 1")
 
 
 # Sections each subcommand needs; the waveform command also needs `network` when filtered.
@@ -247,22 +165,16 @@ def _load_config(path: str, args) -> dict:
     return cfg
 
 
-def _load_presets(path: str, errors: list) -> dict:
-    try:
-        raw = _io.read_json(path)
-    except (OSError, ValueError) as e:
-        errors.append(f"presets_file: cannot read {path}: {e}")
-        return {}
-    if not isinstance(raw, dict):
-        errors.append("presets_file: must be a JSON object keyed by preset name")
-        return {}
-    return {name: build(DetectorConfig, entry, f"presets_file.{name}", errors)
-            for name, entry in raw.items()}
-
-
 def _resolve_detectors(cfg: ExperimentConfig, errors: list) -> ExperimentConfig:
     """`cfg` with `detector_preset` and the preset names in `sweep` looked up."""
-    extra = _load_presets(cfg.presets_file, errors) if cfg.presets_file is not None else {}
+    extra = {}
+    if cfg.presets_file is not None:
+        try:
+            extra = presets.load_presets(cfg.presets_file)
+        except ConfigError as e:
+            errors.extend(f"presets_file.{p}" for p in e.paths)
+        except (OSError, ValueError) as e:
+            errors.append(f"presets_file: cannot read {cfg.presets_file}: {e}")
 
     def preset(name, path):
         try:
@@ -277,9 +189,12 @@ def _resolve_detectors(cfg: ExperimentConfig, errors: list) -> ExperimentConfig:
     return replace(cfg, detector=detector, sweep=sweep)
 
 
-# Config path of the value that the first word of a run check's message names.
-_RUN_PATHS = {"mode": "source.mode", "laser_rate": "source.laser_rate", "n_gates": "n_gates",
-              "illuminated_gate_phase": "source.illuminated_gate_phase", "bin_width": "histogram_bin"}
+def _checked(errors: list, path: str, check, *args, names=()):
+    """`check(*args)`, or None with its ValueError appended to `errors` under `path`."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        errors.append(at(path, str(e), names))
 
 
 def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
@@ -291,12 +206,14 @@ def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
     else:
         return
     for det in detectors:
-        try:
-            r = characterize._pulsed_ratio(det, cfg.source, None if command == "simulate" else cfg.n_gates)
-            if command == "characterize":
-                acquisition._fold_bins(r / det.f_g, cfg.histogram_bin)  # R/f_g: the fold period
-        except ValueError as e:
-            errors.append(f"{_RUN_PATHS.get(str(e).split(' ', 1)[0], 'source')}: {e}")
+        r = _checked(errors, "source", characterize._pulsed_ratio, det, cfg.source,
+                     names=SourceConfig.__dataclass_fields__)
+        if r is None:
+            continue
+        if command != "simulate":
+            _checked(errors, "n_gates", characterize._pulsed_ratio, det, cfg.source, cfg.n_gates)
+        if command == "characterize":  # R/f_g: the fold period
+            _checked(errors, "histogram_bin", acquisition._fold_bins, r / det.f_g, cfg.histogram_bin)
 
 
 def parse(command: str, raw: dict) -> ExperimentConfig:
@@ -366,8 +283,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> list[str]:
         n_fine = int(round(sp.fine_span / sp.fine_step)) + 1
         fine_start = f_g - sp.fine_span / 2
         fine_grid = network.FrequencyGrid(fine_start, fine_start + (n_fine - 1) * sp.fine_step, n_fine)
-        n_coarse = int(round((sp.f_stop - sp.f_start) / sp.coarse_step)) + 1
-        coarse_grid = network.FrequencyGrid(sp.f_start, sp.f_start + (n_coarse - 1) * sp.coarse_step, n_coarse)
+        coarse_grid = network.metrics_grid(sp.f_start, sp.f_stop, sp.coarse_step)
         network.write_spectrum_csv(_out(cfg, "spectrum.csv", written),
                                    [_chain_responses(net, fine_grid), _chain_responses(net, coarse_grid)])
     if "json" in cfg.emit:
@@ -477,22 +393,14 @@ def cmd_maxrate(cfg: ExperimentConfig) -> list[str]:
     return written
 
 
-_COMMANDS = {
-    "design": cmd_design,
-    "spectrum": cmd_spectrum,
-    "waveform": cmd_waveform,
-    "simulate": cmd_simulate,
-    "characterize": cmd_characterize,
-    "sweep": cmd_sweep,
-    "maxrate": cmd_maxrate,
-}
+_COMMANDS = {"design": cmd_design, "spectrum": cmd_spectrum, "waveform": cmd_waveform,
+             "simulate": cmd_simulate, "characterize": cmd_characterize, "sweep": cmd_sweep,
+             "maxrate": cmd_maxrate}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="unicsim",
-        description="Gated-detector readout chain simulator and characterization toolkit",
-    )
+        prog="unicsim", description="Gated-detector readout chain simulator and characterization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)

@@ -76,7 +76,8 @@ class FrequencyGrid:
 
 
 def metrics_grid(f_start: float = 1e8, f_stop: float = 2.1e9, step: float = 1e3) -> FrequencyGrid:
-    """Grid dense enough for null metrics (step <= 1 kHz) spanning the background band."""
+    """Grid from f_start in whole `step`s up to about f_stop; the defaults
+    are dense enough for null metrics (step <= 1 kHz) over the background band."""
     n = int(round((f_stop - f_start) / step)) + 1
     return FrequencyGrid(f_start, f_start + (n - 1) * step, n)
 

@@ -5,7 +5,7 @@ few regulated temperatures, calibrated so the trap parameters land near the
 afterpulse probabilities observed at each temperature (the bias-to-parameter
 mapping is empirical, so presets are meant to be re-fit per device).  Preset
 files are plain JSON objects keyed by name, each holding DetectorConfig
-fields.
+fields, checked by the same builder as the command-line config.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict
 
 from ._io import read_json, write_json
+from ._schema import ConfigError, build
 from .apd import DetectorConfig
 
 __all__ = ["DETECTOR_PRESETS", "get_preset", "load_presets", "save_presets"]
@@ -57,10 +58,16 @@ def get_preset(name: str, extra: dict[str, DetectorConfig] | None = None) -> Det
 
 
 def load_presets(path) -> dict[str, DetectorConfig]:
+    """Presets in the JSON file `path`.  Raises ConfigError (a ValueError)
+    naming each defect as `name.field: message`."""
     raw = read_json(path)
     if not isinstance(raw, dict):
         raise ValueError("preset file must be a JSON object keyed by preset name")
-    return {name: DetectorConfig(**fields) for name, fields in raw.items()}
+    errors: list[str] = []
+    loaded = {name: build(DetectorConfig, entry, name, errors) for name, entry in raw.items()}
+    if errors:
+        raise ConfigError(errors)
+    return loaded
 
 
 def save_presets(path, presets: dict[str, DetectorConfig]) -> None:

@@ -332,6 +332,14 @@ def test_histogram_csv_roundtrip(tmp_path):
     assert starts[1] - starts[0] == pytest.approx(1e-9)
 
 
+@pytest.mark.parametrize("row", ["1e-09,0,7", "1e-09"])
+def test_histogram_csv_ragged_row_names_its_row(tmp_path, row):
+    path = tmp_path / "hist.csv"
+    path.write_text(f"bin_start_s,counts\r\n0.0,1\r\n{row}\r\n2e-09,3\r\n")
+    with pytest.raises(ValueError, match=r"hist\.csv, row 3: expected 2 cells"):
+        read_histogram_csv(path)
+
+
 def test_timestamps_binary_roundtrip(tmp_path):
     ts = np.array([0.0, 1e-12, 2.5e-9, 1.0])
     path = tmp_path / "stamps.bin"

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from test_golden import CONFIG as README
 
-from unicsim import cli
+from unicsim import cli, load_presets
+from unicsim.cli import ConfigError
 
 
 def _set(cfg, path, value):
@@ -70,6 +71,14 @@ DEFECTS = {
     "histogram_bin not dividing R/f_g": ("characterize", [(("histogram_bin",), 3e-11)], "histogram_bin"),
     "negative seed": ("design", [(("seed",), -1)], "seed"),
     "negative noise_rms": ("waveform", [(("waveform", "noise_rms"), -1e-6)], "waveform.noise_rms"),
+    "cw_carved source characterize": ("characterize", [(("source", "mode"), "cw_carved")], "source.mode"),
+    "illuminated_gate_phase >= R": (
+        "characterize", [(("source", "illuminated_gate_phase"), 125)], "source.illuminated_gate_phase"),
+    "laser_rate not dividing f_g": ("simulate", [(("source", "laser_rate"), 4.4e7)], "source.laser_rate"),
+    "zero stages": ("design", [(("network", "stages"), 0)], "network.stages"),
+    "zero n_gates": ("simulate", [(("n_gates",), 0)], "n_gates"),
+    "negative impulse_gate_stride": (
+        "waveform", [(("waveform", "impulse_gate_stride"), -1)], "waveform.impulse_gate_stride"),
 }
 
 
@@ -86,6 +95,14 @@ def test_config_defect_exits_2_naming_its_path(tmp_path, capsys, name):
     assert err["error"] == "config"
     assert expected in [p.split(": ", 1)[0] for p in err["paths"]], err["paths"]
     assert not (tmp_path / "out").exists()
+
+
+def test_load_presets_names_each_bad_field(tmp_path):
+    path = tmp_path / "presets.json"
+    path.write_text(json.dumps({"ok": {}, "hot": {"mean_charge": math.nan, "typo": 1}}))
+    with pytest.raises(ConfigError) as e:
+        load_presets(path)
+    assert sorted(p.split(": ", 1)[0] for p in e.value.paths) == ["hot.mean_charge", "hot.typo"]
 
 
 def test_int_for_float_is_passed_through():
