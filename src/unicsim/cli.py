@@ -190,10 +190,11 @@ def _resolve_detectors(cfg: ExperimentConfig, errors: list) -> ExperimentConfig:
 
 
 def _checked(errors: list, path: str, check, *args, names=()):
-    """`check(*args)`, or None with its ValueError appended to `errors` under `path`."""
+    """`check(*args)`, or None with its ValueError or ArithmeticError appended
+    to `errors` under `path`."""
     try:
         return check(*args)
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:
         errors.append(at(path, str(e), names))
 
 
@@ -216,6 +217,27 @@ def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
             _checked(errors, "histogram_bin", acquisition._fold_bins, r / det.f_g, cfg.histogram_bin)
 
 
+def _check_spectrum(cfg: ExperimentConfig, errors: list) -> None:
+    """The spectrum.csv grids, built as `cmd_spectrum` builds them."""
+    sp = cfg.network.spectrum
+    _checked(errors, "network.spectrum.fine_span", _fine_grid, cfg.network)
+    _checked(errors, "network.spectrum.coarse_step", network.metrics_grid,
+             sp.f_start, sp.f_stop, sp.coarse_step)
+
+
+def _check_waveform(cfg: ExperimentConfig, errors: list) -> None:
+    """The library's checks of the gate response, record and impulses of `cmd_waveform`."""
+    wf, names = cfg.waveform, WaveformConfig.__dataclass_fields__
+    spec = _checked(errors, "waveform", _gate_spec, wf, cfg.network, names=names)
+    if spec is not None:
+        _checked(errors, "waveform", waveform._record_length, spec, wf.duration, wf.sample_rate, names=names)
+    if wf.impulse_gate_stride > 0:
+        n_errors = len(errors)
+        _checked(errors, "waveform.impulse_fwhm", waveform._check_resolvable, wf.impulse_fwhm, wf.sample_rate)
+        if len(errors) == n_errors:  # a resolvable fwhm is positive: only the peak is left to fault
+            _checked(errors, "waveform.impulse_peak", _impulse, wf)
+
+
 def parse(command: str, raw: dict) -> ExperimentConfig:
     """The typed config for `command`, or ConfigError naming every offending path.
 
@@ -232,6 +254,10 @@ def parse(command: str, raw: dict) -> ExperimentConfig:
         needs += ("network",)
     _raise_if([f"{key}: missing required key" for key in needs if getattr(cfg, key) is None])
     _check_runs(command, cfg, errors)
+    if command == "spectrum":
+        _check_spectrum(cfg, errors)
+    elif command == "waveform":
+        _check_waveform(cfg, errors)
     _raise_if(errors)
     return cfg
 
@@ -252,6 +278,23 @@ def _chain_responses(net: NetworkConfig, grid) -> network.TwoPortResponse:
     if net.band_stop is not None:
         parts.append(network.block_response(net.band_stop, grid))
     return network.cascade(parts)
+
+
+def _fine_grid(net: NetworkConfig) -> network.FrequencyGrid:
+    """The spectrum.csv grid of fine_step steps over fine_span centred on f_g."""
+    sp = net.spectrum
+    n_fine = int(round(sp.fine_span / sp.fine_step)) + 1
+    fine_start = float(net.f_g) - sp.fine_span / 2
+    return network.FrequencyGrid(fine_start, fine_start + (n_fine - 1) * sp.fine_step, n_fine)
+
+
+def _gate_spec(wf: WaveformConfig, net: NetworkConfig | None) -> waveform.GateWaveSpec:
+    f_g = float(wf.f_g if wf.f_g is not None else net.f_g if wf.filtered and net else 1.25e9)
+    return waveform.GateWaveSpec(f_g, wf.fundamental_amp, wf.harmonics)
+
+
+def _impulse(wf: WaveformConfig) -> waveform.ImpulseSpec:
+    return waveform.ImpulseSpec(fwhm=wf.impulse_fwhm, peak=wf.impulse_peak)
 
 
 def _out(cfg: ExperimentConfig, name: str, written: list) -> str:
@@ -275,17 +318,15 @@ def cmd_design(cfg: ExperimentConfig) -> list[str]:
 def cmd_spectrum(cfg: ExperimentConfig) -> list[str]:
     net, sp = cfg.network, cfg.network.spectrum
     f_g = float(net.f_g)
-    metrics_resp = _chain_responses(net, network.metrics_grid(step=min(sp.fine_step, 1e3)))
-    metrics = network.null_metrics(metrics_resp, f_g)
+    metrics_grid = network.metrics_grid(step=min(sp.fine_step, 1e3))
+    # the 2e6-point response is dropped before the CSV grids are evaluated
+    metrics = network.null_metrics(_chain_responses(net, metrics_grid), f_g)
 
     written: list[str] = []
     if "csv" in cfg.emit:
-        n_fine = int(round(sp.fine_span / sp.fine_step)) + 1
-        fine_start = f_g - sp.fine_span / 2
-        fine_grid = network.FrequencyGrid(fine_start, fine_start + (n_fine - 1) * sp.fine_step, n_fine)
         coarse_grid = network.metrics_grid(sp.f_start, sp.f_stop, sp.coarse_step)
-        network.write_spectrum_csv(_out(cfg, "spectrum.csv", written),
-                                   [_chain_responses(net, fine_grid), _chain_responses(net, coarse_grid)])
+        network.write_spectrum_csv(_out(cfg, "spectrum.csv", written), [
+            _chain_responses(net, _fine_grid(net)), _chain_responses(net, coarse_grid)])
     if "json" in cfg.emit:
         _io.write_json(_out(cfg, "null_metrics.json", written), {
             "f_null_hz": metrics.f_null, "depth_db": metrics.depth_db,
@@ -298,15 +339,14 @@ def cmd_spectrum(cfg: ExperimentConfig) -> list[str]:
 def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
     wf = cfg.waveform
     net = cfg.network if wf.filtered else None
-    f_g = float(wf.f_g if wf.f_g is not None else net.f_g if net else 1.25e9)
-    gate_spec = waveform.GateWaveSpec(f_g, wf.fundamental_amp, wf.harmonics)
+    gate_spec = _gate_spec(wf, net)
+    f_g = gate_spec.f_g
     record = waveform.synth_capacitive(gate_spec, wf.duration, wf.sample_rate)
 
     stride = wf.impulse_gate_stride
     if stride > 0:
-        impulse = waveform.ImpulseSpec(fwhm=wf.impulse_fwhm, peak=wf.impulse_peak)
         times = np.arange(stride, int(wf.duration * f_g) - 1, stride) * (1.0 / f_g)
-        record = waveform.add_impulses(record, impulse, times)
+        record = waveform.add_impulses(record, _impulse(wf), times)
 
     if wf.noise_rms > 0:
         record = waveform.add_noise(record, wf.noise_rms, cfg.seed)

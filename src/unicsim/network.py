@@ -255,28 +255,46 @@ class BalanceInfeasibleError(ValueError):
 # Block evaluation
 # ---------------------------------------------------------------------------
 
+def _phase(f: np.ndarray, t: float) -> np.ndarray:
+    """exp(-2j*pi*f*t), computed in one complex buffer."""
+    v = np.multiply(-2j * np.pi, f)
+    v *= t
+    return np.exp(v, out=v)
+
+
 def _saw_values(b: SawBpf, f: np.ndarray) -> np.ndarray:
     # 3-dB width of the order-4 band-pass that puts the -20 dB points
     # passband_20db apart: x_20 = 99**(1/8).
     b3 = b.passband_20db / 99.0 ** 0.125
+    x = np.multiply(f, f)
+    x -= b.f_center * b.f_center
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = (f * f - b.f_center * b.f_center) / (f * b3)
-        x = np.where(f > 0, x, np.inf)
-        mag = 10.0 ** (-b.insertion_loss / 20.0) / np.sqrt(1.0 + x ** 8)
-    mag = np.where(np.isfinite(x), mag, 0.0)
-    return mag * np.exp(-2j * np.pi * f * b.group_delay)
+        np.divide(x, np.multiply(f, b3), out=x)
+        np.copyto(x, np.inf, where=~(f > 0))
+        stop = ~np.isfinite(x)
+        mag = np.power(x, 8, out=x)
+        mag += 1.0
+        np.sqrt(mag, out=mag)
+        np.divide(10.0 ** (-b.insertion_loss / 20.0), mag, out=mag)
+    mag[stop] = 0.0
+    v = _phase(f, b.group_delay)
+    return np.multiply(mag, v, out=v)
 
 
 def _notch_values(b: Notch, f: np.ndarray) -> np.ndarray:
     x_edge = 1.0 / math.sqrt(10.0 ** (b.depth / 10.0) - 1.0)
     q = x_edge * b.f_center / b.width_10db
+    x = np.multiply(f, f)
+    x -= b.f_center * b.f_center
+    x *= q
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = q * (f * f - b.f_center * b.f_center) / (f * b.f_center)
-    x = np.where(f > 0, x, np.inf)
-    out = np.ones(f.shape, dtype=np.complex128)
+        np.divide(x, np.multiply(f, b.f_center), out=x)
     m = np.isfinite(x)
-    out[m] = x[m] / (x[m] - 1j)  # causal RLC phase: lag above, lead below f_center
-    return out
+    m &= f > 0
+    out = np.ones(f.shape, dtype=np.complex128)
+    # causal RLC phase: lag above, lead below f_center
+    np.subtract(x, 1j, out=out, where=m)
+    return np.divide(x, out, out=out, where=m)
 
 
 def _block_values(block: BlockSpec, f: np.ndarray) -> np.ndarray:
@@ -286,11 +304,14 @@ def _block_values(block: BlockSpec, f: np.ndarray) -> np.ndarray:
     if isinstance(block, Attenuator):
         return np.full(f.shape, 10.0 ** (-block.loss / 20.0), dtype=np.complex128)
     if isinstance(block, Delay):
-        return np.exp(-2j * np.pi * f * block.t)
+        return _phase(f, block.t)
     if isinstance(block, SawBpf):
         return _saw_values(block, f)
     if isinstance(block, Amplifier):
-        return 10.0 ** (block.gain / 20.0) / (1.0 + 1j * f / block.bandwidth)
+        v = np.multiply(1j, f)
+        v /= block.bandwidth
+        v += 1.0
+        return np.divide(10.0 ** (block.gain / 20.0), v, out=v)
     if isinstance(block, Notch):
         return _notch_values(block, f)
     raise TypeError(f"unknown block type {type(block).__name__}")
@@ -377,10 +398,12 @@ def unic_response(design: UnicDesign, saw: SawBpf, grid: FrequencyGrid) -> TwoPo
         )
     f = grid.frequencies()
     tap = design.coupler_tap
-    through = np.full(f.shape, 1.0 - tap, dtype=np.complex128)
     pad = 10.0 ** (-design.att_balance_db / 20.0)
-    filtered = tap * pad * _saw_values(saw, f) * np.exp(-2j * np.pi * f * design.delta_t)
-    return TwoPortResponse(grid, through + filtered)
+    v = _saw_values(saw, f)
+    np.multiply(tap * pad, v, out=v)
+    v *= _phase(f, design.delta_t)
+    v += 1.0 - tap  # the flat through arm
+    return TwoPortResponse(grid, v)
 
 
 def cascade(responses: list[TwoPortResponse]) -> TwoPortResponse:
@@ -393,7 +416,7 @@ def cascade(responses: list[TwoPortResponse]) -> TwoPortResponse:
             raise ValueError("cascade requires identical grids")
     values = responses[0].values.copy()
     for r in responses[1:]:
-        values = values * r.values
+        values *= r.values
     return TwoPortResponse(g0, values)
 
 

@@ -101,9 +101,9 @@ class GateWaveSpec:
             raise ValueError("fundamental_amp must be >= 0")
         orders = [h[0] for h in self.harmonics]
         if any(o < 2 for o in orders):
-            raise ValueError("harmonic orders must be >= 2")
+            raise ValueError("harmonics must have orders >= 2")
         if len(set(orders)) != len(orders):
-            raise ValueError("harmonic orders must be distinct")
+            raise ValueError("harmonics must have distinct orders")
 
     @property
     def max_frequency(self) -> float:
@@ -134,19 +134,37 @@ class ImpulseSpec:
 # Synthesis
 # ---------------------------------------------------------------------------
 
-def synth_capacitive(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_SAMPLE_RATE) -> Waveform:
-    """Synthesize the periodic gate response over `duration` seconds."""
+def _record_length(spec: GateWaveSpec, duration: float, rate: float) -> int:
+    """Samples in a `duration` record of `spec` at `rate`; ValueError if the
+    record is shorter than 10 gate periods or `rate` is below Nyquist."""
     if duration < 10.0 / spec.f_g:
         raise ValueError("duration must cover at least 10 gate periods")
     if rate <= 2.0 * spec.max_frequency:
         raise ValueError(
-            f"sample rate {rate:.4g} below Nyquist for highest harmonic {spec.max_frequency:.4g}"
+            f"sample_rate {rate:.4g} below Nyquist for highest harmonic {spec.max_frequency:.4g}"
         )
-    n = int(round(duration * rate))
-    t = np.arange(n) / rate
-    y = spec.fundamental_amp * np.sin(2.0 * np.pi * spec.f_g * t)
-    for order, amp, phase in spec.harmonics:
-        y += amp * np.sin(2.0 * np.pi * order * spec.f_g * t + phase)
+    return int(round(duration * rate))
+
+
+def synth_capacitive(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_SAMPLE_RATE) -> Waveform:
+    """Synthesize the periodic gate response over `duration` seconds.
+
+    At most two records are held at once (three with two or more harmonics):
+    each sine is evaluated in place and the last harmonic reuses `t`.
+    """
+    t = np.arange(_record_length(spec, duration, rate), dtype=np.float64)
+    t /= rate
+    y = np.multiply(2.0 * np.pi * spec.f_g, t)
+    np.sin(y, out=y)
+    y *= spec.fundamental_amp
+    scratch = np.empty_like(t) if len(spec.harmonics) > 1 else None
+    for i, (order, amp, phase) in enumerate(spec.harmonics):
+        h = t if i == len(spec.harmonics) - 1 else scratch
+        np.multiply(2.0 * np.pi * order * spec.f_g, t, out=h)
+        h += phase
+        np.sin(h, out=h)
+        h *= amp
+        y += h
     return Waveform(rate, 0.0, y)
 
 
@@ -154,11 +172,15 @@ def _gaussian(t: np.ndarray, spec: ImpulseSpec) -> np.ndarray:
     return spec.peak * np.exp(-4.0 * math.log(2.0) * ((t - spec.onset) / spec.fwhm) ** 2)
 
 
+def _check_resolvable(fwhm: float, rate: float) -> None:
+    if fwhm < 4.0 / rate:
+        raise ValueError("unresolvable pulse: fwhm shorter than 4 sample intervals")
+
+
 def synth_avalanche(spec: ImpulseSpec, rate: float = DEFAULT_SAMPLE_RATE,
                     duration: float | None = None) -> Waveform:
     """Gaussian impulse record; duration defaults to onset + 10 fwhm."""
-    if spec.fwhm < 4.0 / rate:
-        raise ValueError("unresolvable pulse: fwhm shorter than 4 sample intervals")
+    _check_resolvable(spec.fwhm, rate)
     if duration is None:
         duration = spec.onset + 10.0 * spec.fwhm
     n = max(16, int(round(duration * rate)))
@@ -168,8 +190,7 @@ def synth_avalanche(spec: ImpulseSpec, rate: float = DEFAULT_SAMPLE_RATE,
 
 def add_impulses(w: Waveform, spec: ImpulseSpec, times) -> Waveform:
     """Add one Gaussian impulse (shape from `spec`) centered at each time."""
-    if spec.fwhm < 4.0 / w.sample_rate:
-        raise ValueError("unresolvable pulse: fwhm shorter than 4 sample intervals")
+    _check_resolvable(spec.fwhm, w.sample_rate)
     y = w.samples.copy()
     n = y.size
     half = max(1, int(round(6.0 * spec.fwhm * w.sample_rate)))
@@ -289,7 +310,8 @@ _BIN_HEADER = struct.Struct("<ddQ")
 def write_waveform_binary(path, w: Waveform) -> None:
     with open(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(w.sample_rate, w.t0, len(w)))
-        fh.write(w.samples.astype("<f8").tobytes())
+        # a contiguous little-endian record is written from its own buffer, uncopied
+        fh.write(np.ascontiguousarray(w.samples, dtype="<f8").data)
 
 
 def read_waveform_binary(path) -> Waveform:

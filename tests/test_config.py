@@ -79,6 +79,24 @@ DEFECTS = {
     "zero n_gates": ("simulate", [(("n_gates",), 0)], "n_gates"),
     "negative impulse_gate_stride": (
         "waveform", [(("waveform", "impulse_gate_stride"), -1)], "waveform.impulse_gate_stride"),
+    "waveform shorter than 10 gates": ("waveform", [(("waveform", "duration"), 1e-9)], "waveform.duration"),
+    "waveform below Nyquist": ("waveform", [(("waveform", "sample_rate"), 1e9)], "waveform.sample_rate"),
+    "harmonic order 1": ("waveform", [(("waveform", "harmonics"), [[1, 0.084, 0.0]])], "waveform.harmonics"),
+    "duplicate harmonic order": (
+        "waveform", [(("waveform", "harmonics"), [[2, 0.084, 0.0], [2, 0.01, 0.0]])], "waveform.harmonics"),
+    "negative fundamental_amp": (
+        "waveform", [(("waveform", "fundamental_amp"), -1)], "waveform.fundamental_amp"),
+    "unresolvable impulse_fwhm": (
+        "waveform", [(("waveform", "impulse_fwhm"), 1e-12)], "waveform.impulse_fwhm"),
+    "negative impulse_peak": ("waveform", [(("waveform", "impulse_peak"), -1e-3)], "waveform.impulse_peak"),
+    "negative waveform.f_g": ("waveform", [(("waveform", "f_g"), -1.0)], "waveform.f_g"),
+    "waveform too long to count": ("waveform", [(("waveform", "duration"), 1e300)], "waveform"),
+    "fine_span below fine_step": (
+        "spectrum", [(("network", "spectrum", "fine_span"), 1e2)], "network.spectrum.fine_span"),
+    "fine_span past 0 Hz": (
+        "spectrum", [(("network", "spectrum", "fine_span"), 1e10)], "network.spectrum.fine_span"),
+    "coarse_step past f_stop": (
+        "spectrum", [(("network", "spectrum", "coarse_step"), 1e10)], "network.spectrum.coarse_step"),
 }
 
 

@@ -6,6 +6,7 @@ sha256 recorded below, so a refactor that changes any output byte fails
 here.  A declared change to the random-stream contract re-records them.
 """
 
+import copy
 import hashlib
 import json
 
@@ -97,3 +98,33 @@ def test_outputs_match_recorded_sha256(tmp_path, command):
     assert cli.main([command, "-c", str(cfg), "--output-dir", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == GOLDEN[command]
+
+
+# Long waveform records, recorded like GOLDEN: 2e5 samples take the FIR
+# single-FFT path (2**17 < n <= 2**22), 4.24e6 samples the overlap-add path.
+LONG_RECORDS = {
+    "fir single FFT": (5e-6, ["csv", "json"], {
+        "waveform.bin":
+            "06455117634616597c87e998d76ac55a4d60d8a44a61474a7e58a6ff23afc0a0",
+        "waveform.csv":
+            "7472983906f8f237a07df5ecb38b60fbcb2de113c9a76c49c487ef0615ac3446",
+    }),
+    "overlap-add": (1.06e-4, ["json"], {
+        "waveform.bin":
+            "509e8dbf9e95144fb21f5f91d79e1f5024ed1aee1a6ac5c2bb91ea71d88fb15d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(LONG_RECORDS))
+def test_long_waveform_matches_recorded_sha256(tmp_path, name):
+    duration, emit, golden = LONG_RECORDS[name]
+    config = copy.deepcopy(CONFIG)
+    config["waveform"]["duration"] = duration
+    config["emit"] = emit
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["waveform", "-c", str(cfg), "--output-dir", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert digests == golden

@@ -360,3 +360,59 @@ def test_spectrum_csv_merges_dense_first(tmp_path, saw, design):
     assert np.all(np.diff(f) > 0)
     # the dense region resolves the null far below the coarse background
     assert mag_db.min() < -90.0
+
+
+# ---------------------------------------------------------------------------
+# In-place kernels against the whole-array expressions they replace
+# ---------------------------------------------------------------------------
+
+def _reference_saw(b, f):
+    b3 = b.passband_20db / 99.0 ** 0.125
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (f * f - b.f_center * b.f_center) / (f * b3)
+        x = np.where(f > 0, x, np.inf)
+        mag = 10.0 ** (-b.insertion_loss / 20.0) / np.sqrt(1.0 + x ** 8)
+    mag = np.where(np.isfinite(x), mag, 0.0)
+    return mag * np.exp(-2j * np.pi * f * b.group_delay)
+
+
+def _reference_notch(b, f):
+    x_edge = 1.0 / math.sqrt(10.0 ** (b.depth / 10.0) - 1.0)
+    q = x_edge * b.f_center / b.width_10db
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = q * (f * f - b.f_center * b.f_center) / (f * b.f_center)
+    x = np.where(f > 0, x, np.inf)
+    out = np.ones(f.shape, dtype=np.complex128)
+    m = np.isfinite(x)
+    out[m] = x[m] / (x[m] - 1j)
+    return out
+
+
+REFERENCE_BLOCKS = [
+    (SawBpf(F_G, 35e6, 3.0, T_G_SAW), _reference_saw),
+    (Notch(2.5e9, 10.0, 1e8), _reference_notch),
+    (Notch(F_G, 40.0, 1e6), _reference_notch),
+    (Delay(1.3e-9), lambda b, f: np.exp(-2j * np.pi * f * b.t)),
+    (Amplifier(20.0, 3e9), lambda b, f: 10.0 ** (b.gain / 20.0) / (1.0 + 1j * f / b.bandwidth)),
+]
+REFERENCE_GRIDS = [FrequencyGrid(0.0, 5e9, 100_001), FrequencyGrid(1.2e9, 1.3e9, 7777)]
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=["from 0 Hz", "around f_g"])
+@pytest.mark.parametrize("block, reference", REFERENCE_BLOCKS, ids=lambda x: type(x).__name__)
+def test_block_values_equal_whole_array_reference(grid, block, reference):
+    assert block_response(block, grid).values.tobytes() == reference(block, grid.frequencies()).tobytes()
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=["from 0 Hz", "around f_g"])
+def test_unic_and_cascade_equal_whole_array_reference(design, saw, grid):
+    f = grid.frequencies()
+    tap = design.coupler_tap
+    through = np.full(f.shape, 1.0 - tap, dtype=np.complex128)
+    pad = 10.0 ** (-design.att_balance_db / 20.0)
+    unic = through + tap * pad * _reference_saw(saw, f) * np.exp(-2j * np.pi * f * design.delta_t)
+    notch = Notch(2.5e9, 10.0, 1e8)
+    resp = unic_response(design, saw, grid)
+    assert resp.values.tobytes() == unic.tobytes()
+    chain = cascade([resp, resp, block_response(notch, grid)])
+    assert chain.values.tobytes() == (unic * unic * _reference_notch(notch, f)).tobytes()

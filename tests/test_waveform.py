@@ -86,6 +86,17 @@ def test_avalanche_unresolvable_pulse():
         synth_avalanche(ImpulseSpec(fwhm=150e-12, peak=1e-3), rate=1e10)
 
 
+@pytest.mark.parametrize("harmonics", [
+    (), ((2, 0.084, 0.0),), ((2, 0.084, 0.3), (3, 0.01, -1.0), (5, 2e-3, 2.0))], ids=["none", "one", "three"])
+def test_synth_capacitive_equals_whole_array_reference(harmonics):
+    spec = GateWaveSpec(F_G, 0.42, harmonics)
+    t = np.arange(8000) / RATE
+    y = spec.fundamental_amp * np.sin(2.0 * np.pi * spec.f_g * t)
+    for order, amp, phase in harmonics:
+        y += amp * np.sin(2.0 * np.pi * order * spec.f_g * t + phase)
+    assert synth_capacitive(spec, duration=2e-7, rate=RATE).samples.tobytes() == y.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Filtering
 # ---------------------------------------------------------------------------
