@@ -108,22 +108,40 @@ _DEAD_TIME_SLICE = 1 << 16
 
 
 def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Non-paralyzable dead time on a sorted time array."""
+    """Non-paralyzable dead time on a sorted time array.
+
+    A click is kept when it is at or past `next_ok`, the window end of the
+    last kept click.  A click at or past the window end of the click before
+    it is always kept; the clusters between such clicks are resolved
+    together, each pass jumping every cluster from its last kept click to
+    the first click past that click's window (`searchsorted`).  The array is
+    cut in slices of `_DEAD_TIME_SLICE`, which carry `next_ok` across.
+    """
     if dead_time <= 0 or times.size == 0:
-        return times
-    if times.size == 1 or np.min(np.diff(times)) >= dead_time:
         return times
     kept = []
     next_ok = -math.inf
-    # Slices bound the Python floats alive at once to _DEAD_TIME_SLICE.
     for start in range(0, times.size, _DEAD_TIME_SLICE):
-        part = []
-        for t in times[start:start + _DEAD_TIME_SLICE].tolist():
-            if t >= next_ok:
-                part.append(t)
-                next_ok = t + dead_time
-        kept.append(np.array(part, dtype=np.float64))
-    return np.concatenate(kept)
+        part = times[start:start + _DEAD_TIME_SLICE]
+        part = part[np.searchsorted(part, next_ok):]
+        if part.size == 0:
+            continue
+        keep = np.empty(part.size, dtype=bool)
+        keep[0] = True
+        np.greater_equal(part[1:], part[:-1] + dead_time, out=keep[1:])
+        firsts = np.flatnonzero(keep)
+        ends = np.append(firsts[1:], part.size)  # each cluster ends at the next sure click
+        busy = ends - firsts > 1
+        cur, end = firsts[busy], ends[busy]
+        while cur.size:
+            nxt = np.searchsorted(part, part[cur] + dead_time)
+            on = nxt < end
+            cur, end = nxt[on], end[on]
+            keep[cur] = True
+        part = part[keep]
+        kept.append(part)
+        next_ok = part[-1] + dead_time
+    return np.concatenate(kept) if kept else times[:0]
 
 
 def discriminate(w: Waveform, spec: DiscriminatorSpec) -> np.ndarray:

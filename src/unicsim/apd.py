@@ -18,6 +18,7 @@ cost scales with the number of dark events rather than with the gates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,7 @@ KIND_AFTERPULSE = 2
 KIND_NAMES = ("photon", "dark", "afterpulse")
 
 _CHUNK = 1 << 20
+_KIND_BITS = 2  # low bits of the sort key that hold the event kind
 _LANE_PHOTON, _LANE_DARK, _LANE_TRAP, _LANE_TRIGGER, _LANE_CHARGE, _LANE_JITTER = range(6)
 
 
@@ -164,25 +166,25 @@ def _rng(seed: int, chunk: int, lane: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int,
-                      rng_trap: np.random.Generator, rng_trig: np.random.Generator) -> np.ndarray:
-    """Afterpulse target gates triggered by traps from the given avalanches."""
+def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int, rng) -> np.ndarray:
+    """Afterpulse target gates triggered by traps from the given avalanches;
+    `rng(lane)` is the block's generator of that lane."""
     if sources.size == 0:
         return sources
+    rng_trap = rng(_LANE_TRAP)
     counts = rng_trap.poisson(det.traps_per_avalanche, sources.size)
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
     offsets = rng_trap.exponential(det.detrap_tau, total)
-    triggered = rng_trig.random(total) < det.p_trigger
-    origin = np.repeat(sources, counts)
+    triggered = rng(_LANE_TRIGGER).random(total) < det.p_trigger
+    origin = np.repeat(sources, counts)[triggered]
     period = 1.0 / det.f_g
     half_w = 0.5 * det.gate_width
-    release = (origin * period - half_w) + offsets  # anchored at the window start
+    release = (origin * period - half_w) + offsets[triggered]  # anchored at the window start
     target = np.rint(release * det.f_g).astype(np.int64)
     in_window = np.abs(release - target * period) <= half_w
-    valid = in_window & triggered & (target > origin) & (target < n_gates)
-    return target[valid]
+    return target[in_window & (target > origin) & (target < n_gates)]
 
 
 def _bernoulli_hits(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
@@ -265,23 +267,23 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
         g1 = min(g0 + _CHUNK, n_gates)
         m = g1 - g0
         occupied = np.zeros(m, dtype=bool)
+        # Each lane's generator is built once, when the lane first draws.
+        rng = functools.cache(functools.partial(_rng, seed, chunk_idx))
 
-        # Primary photon avalanches on illuminated gates.
-        if src.mode == "pulsed":
-            first = g0 + (phase - g0) % r
-            illuminated = np.arange(first, g1, r, dtype=np.int64)
-        else:
-            illuminated = np.arange(g0, g1, dtype=np.int64)
-        if p_photon > 0 and illuminated.size:
-            u = _rng(seed, chunk_idx, _LANE_PHOTON).random(illuminated.size)
-            photon_gates = illuminated[u < p_photon]
+        # Primary photon avalanches on illuminated gates first, first + r, ...
+        first = g0 + (phase - g0) % r
+        n_illuminated = len(range(first, g1, r))
+        if p_photon > 0 and n_illuminated:
+            photon_gates = np.flatnonzero(rng(_LANE_PHOTON).random(n_illuminated) < p_photon)
+            photon_gates *= r  # in place: two more temporaries per block cost maxrate 40 MB of RSS
+            photon_gates += first
         else:
             photon_gates = np.empty(0, dtype=np.int64)
         occupied[photon_gates - g0] = True
 
         # Dark avalanches anywhere a photon did not already fire.
         if det.dark_per_gate > 0:
-            hits = _bernoulli_hits(_rng(seed, chunk_idx, _LANE_DARK), m, det.dark_per_gate)
+            hits = _bernoulli_hits(rng(_LANE_DARK), m, det.dark_per_gate)
             dark_gates = g0 + hits[~occupied[hits]]
         else:
             dark_gates = np.empty(0, dtype=np.int64)
@@ -304,11 +306,9 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
             arrived = np.empty(0, dtype=np.int64)
 
         if traps_on:
-            rng_trap = _rng(seed, chunk_idx, _LANE_TRAP)
-            rng_trig = _rng(seed, chunk_idx, _LANE_TRIGGER)
             sources = np.concatenate([primaries, arrived]) if allow_afterpulse_cascades else primaries
             while sources.size:
-                cand = _spawn_candidates(sources, det, n_gates, rng_trap, rng_trig)
+                cand = _spawn_candidates(sources, det, n_gates, rng)
                 if cand.size:
                     pending = np.concatenate([pending, cand[cand >= g1]])
                     stay = np.unique(cand[cand < g1])
@@ -323,20 +323,22 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
 
         afterpulses = np.concatenate(ap_parts) if ap_parts else np.empty(0, dtype=np.int64)
 
-        gates = np.concatenate([photon_gates, dark_gates, afterpulses])
-        kinds = np.concatenate([
-            np.full(photon_gates.size, KIND_PHOTON, dtype=np.uint8),
-            np.full(dark_gates.size, KIND_DARK, dtype=np.uint8),
-            np.full(afterpulses.size, KIND_AFTERPULSE, dtype=np.uint8),
-        ])
-        order = np.argsort(gates, kind="stable")
-        gates = gates[order]
-        kinds = kinds[order]
+        # One sort of the gates, each tagged with its kind in the low bits
+        # (a gate holds at most one avalanche, so the tags never reorder).
+        keys = np.concatenate([photon_gates, dark_gates, afterpulses]) << _KIND_BITS
+        keys |= np.repeat(np.array([KIND_PHOTON, KIND_DARK, KIND_AFTERPULSE]),
+                          [photon_gates.size, dark_gates.size, afterpulses.size])
+        keys.sort()
+        gates = keys >> _KIND_BITS
+        kinds = (keys & ((1 << _KIND_BITS) - 1)).astype(np.uint8)
 
         n_ev = gates.size
-        jitter = _truncated_normal(_rng(seed, chunk_idx, _LANE_JITTER), det.jitter_sigma, half_w, n_ev)
-        times = gates * period + jitter
-        charges = _rng(seed, chunk_idx, _LANE_CHARGE).lognormal(mu_ln, sigma_ln, n_ev)
+        if n_ev:
+            jitter = _truncated_normal(rng(_LANE_JITTER), det.jitter_sigma, half_w, n_ev)
+            times = gates * period + jitter
+            charges = rng(_LANE_CHARGE).lognormal(mu_ln, sigma_ln, n_ev)
+        else:
+            times, charges = np.empty(0), np.empty(0)
 
         gates_out.append(gates)
         kinds_out.append(kinds)

@@ -253,6 +253,8 @@ def parse(command: str, raw: dict) -> ExperimentConfig:
     if command == "waveform" and cfg.waveform is not None and cfg.waveform.filtered:
         needs += ("network",)
     _raise_if([f"{key}: missing required key" for key in needs if getattr(cfg, key) is None])
+    if "network" in needs:  # the interferometer arms must balance at f_g
+        _checked(errors, "network.coupler_tap", _build_design, cfg.network)
     _check_runs(command, cfg, errors)
     if command == "spectrum":
         _check_spectrum(cfg, errors)

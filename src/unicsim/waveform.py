@@ -57,7 +57,9 @@ class Waveform:
         s = np.asarray(self.samples, dtype=np.float64)
         if s.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if not np.all(np.isfinite(s)):
+        # min and max are NaN when any sample is, and infinite when one is:
+        # two reductions, with no mask of the record.
+        if s.size and not (math.isfinite(s.min()) and math.isfinite(s.max())):
             raise ValueError("samples must be finite")
         s.flags.writeable = False
         self.samples = s

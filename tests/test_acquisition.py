@@ -127,6 +127,36 @@ def test_dead_time_matches_reference_loop(times, dead_time, slice_len, monkeypat
     assert out.tobytes() == ref.tobytes()
 
 
+def _dense_times(seed, n_gates):
+    # A carved source near saturation: about half the 0.8 ns gates click, with
+    # jitter, on the TDC's 1 ps grid; a 2 ns dead time spans two to three gates.
+    rng = np.random.default_rng(seed)
+    gates = np.flatnonzero(rng.random(n_gates) < 0.47)
+    jitter = np.clip(rng.normal(0.0, 50e-12, gates.size), -75e-12, 75e-12)
+    return np.round((gates * 0.8e-9 + jitter) / 1e-12) * 1e-12
+
+
+def _dense_ties(seed, n):
+    # Steps of 0, 1 or 2 dead-time halves: many gaps of exactly one dead time.
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.integers(0, 3, n)) * UNIT
+
+
+@pytest.mark.parametrize("times,dead_time", [
+    (_dense_times(74, 300_000), 2e-9),
+    (_dense_ties(75, 20_000), 2.0 * UNIT),
+    (np.full(50, 1e-9), 2e-9),
+], ids=["dense", "dense-ties", "one-cluster"])
+@pytest.mark.parametrize("slice_len", [None, 7, 64])
+def test_dead_time_matches_reference_on_dense_streams(times, dead_time, slice_len, monkeypatch):
+    # Slices of 7 and 64 cut through clusters, and through whole slices that
+    # lie inside one click's window.
+    if slice_len is not None:
+        monkeypatch.setattr(acquisition, "_DEAD_TIME_SLICE", slice_len)
+    out = _apply_dead_time(times, dead_time)
+    assert out.tobytes() == _dead_time_reference(times, dead_time).tobytes()
+
+
 def test_dead_time_ties_at_window_end_are_kept():
     out = _apply_dead_time(TIES, 2.0 * UNIT)
     assert out.tolist() == [x * UNIT for x in (0.0, 2.0, 4.0, 6.0, 8.5)]

@@ -231,11 +231,12 @@ def test_unknown_preset_is_config_error(tmp_path):
     assert "apd9_300K" in " ".join(json.loads(res.stderr)["paths"])
 
 
-def test_infeasible_balance_is_runtime_error(tmp_path):
+def test_infeasible_balance_is_config_error(tmp_path):
     net = {**NETWORK, "coupler_tap": 0.1}
     cfg = write_config(tmp_path, network=net)
     res = run_cli("design", "-c", str(cfg))
-    assert res.returncode == 3
+    assert res.returncode == 2
     err = json.loads(res.stderr)
-    assert err["error"] == "runtime"
-    assert "below through arm" in err["message"]
+    assert err["error"] == "config"
+    [path] = err["paths"]
+    assert path.startswith("network.coupler_tap: ") and "below through arm" in path

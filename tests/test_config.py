@@ -97,6 +97,10 @@ DEFECTS = {
         "spectrum", [(("network", "spectrum", "fine_span"), 1e10)], "network.spectrum.fine_span"),
     "coarse_step past f_stop": (
         "spectrum", [(("network", "spectrum", "coarse_step"), 1e10)], "network.spectrum.coarse_step"),
+    "infeasible balance for spectrum": (
+        "spectrum", [(("network", "coupler_tap"), 0.1)], "network.coupler_tap"),
+    "infeasible balance for filtered waveform": (
+        "waveform", [(("network", "coupler_tap"), 0.1)], "network.coupler_tap"),
 }
 
 

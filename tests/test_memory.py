@@ -8,6 +8,7 @@ records (or complex arrays) of the input's size.
 import copy
 import tracemalloc
 
+import numpy as np
 from test_golden import CONFIG
 
 from unicsim import cli, network, waveform
@@ -26,8 +27,15 @@ def _traced_peak(fn, *args):
 
 def test_synth_capacitive_holds_two_records():
     w, peak = _traced_peak(waveform.synth_capacitive, SPEC, 2e-5, 4e10)  # 8e5 samples
-    # `t` and the record, plus the one-byte-per-sample finiteness mask of Waveform
-    assert peak <= 2.15 * w.samples.nbytes
+    # `t` and the record
+    assert peak <= 2.05 * w.samples.nbytes
+
+
+def test_wrapping_a_record_allocates_no_mask():
+    samples = np.linspace(-1.0, 1.0, 1 << 20)
+    w, peak = _traced_peak(waveform.Waveform, 4e10, 0.0, samples)
+    assert w.samples is samples
+    assert peak < 0.01 * samples.nbytes
 
 
 def test_write_waveform_binary_copies_no_record(tmp_path):

@@ -32,6 +32,19 @@ from conftest import F_G, chain_response, record_bin_grid, rel_rms
 RATE = 40e9
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 3, -1])
+def test_waveform_rejects_non_finite_samples(bad, where):
+    samples = np.linspace(-1.0, 1.0, 8)
+    samples[where] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Waveform(RATE, 0.0, samples)
+
+
+def test_waveform_accepts_an_empty_record():
+    assert len(Waveform(RATE, 0.0, np.empty(0))) == 0
+
+
 # ---------------------------------------------------------------------------
 # Synthesis
 # ---------------------------------------------------------------------------
