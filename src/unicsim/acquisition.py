@@ -105,17 +105,22 @@ class GateCounts:
 
 
 _DEAD_TIME_SLICE = 1 << 16
+_MAX_PASSES = 256  # lock-step passes per slice that still beat walking it click by click
 
 
 def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
     """Non-paralyzable dead time on a sorted time array.
 
     A click is kept when it is at or past `next_ok`, the window end of the
-    last kept click.  A click at or past the window end of the click before
-    it is always kept; the clusters between such clicks are resolved
-    together, each pass jumping every cluster from its last kept click to
-    the first click past that click's window (`searchsorted`).  The array is
-    cut in slices of `_DEAD_TIME_SLICE`, which carry `next_ok` across.
+    last kept click.  The array is cut in slices of `_DEAD_TIME_SLICE`,
+    which carry `next_ok` across.  In a slice, a click at or past the window
+    end of the click before it is always kept; the clusters between such
+    clicks are resolved together, each pass jumping every cluster from its
+    last kept click to the first click past that click's window
+    (`searchsorted`).  A cluster keeps at most one click per dead time of
+    its span, so a slice whose longest cluster spans more than `_MAX_PASSES`
+    dead times (a saturated stream, where no gap reaches the dead time) is
+    walked click by click instead.
     """
     if dead_time <= 0 or times.size == 0:
         return times
@@ -131,16 +136,24 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
         np.greater_equal(part[1:], part[:-1] + dead_time, out=keep[1:])
         firsts = np.flatnonzero(keep)
         ends = np.append(firsts[1:], part.size)  # each cluster ends at the next sure click
-        busy = ends - firsts > 1
-        cur, end = firsts[busy], ends[busy]
-        while cur.size:
-            nxt = np.searchsorted(part, part[cur] + dead_time)
-            on = nxt < end
-            cur, end = nxt[on], end[on]
-            keep[cur] = True
-        part = part[keep]
+        if np.max(part[ends - 1] - part[firsts]) > _MAX_PASSES * dead_time:
+            walk = []
+            for t in part.tolist():
+                if t >= next_ok:
+                    walk.append(t)
+                    next_ok = t + dead_time
+            part = np.array(walk)
+        else:
+            busy = ends - firsts > 1
+            cur, end = firsts[busy], ends[busy]
+            while cur.size:
+                nxt = np.searchsorted(part, part[cur] + dead_time)
+                on = nxt < end
+                cur, end = nxt[on], end[on]
+                keep[cur] = True
+            part = part[keep]
+            next_ok = part[-1] + dead_time
         kept.append(part)
-        next_ok = part[-1] + dead_time
     return np.concatenate(kept) if kept else times[:0]
 
 

@@ -18,7 +18,6 @@ cost scales with the number of dark events rather than with the gates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -166,18 +165,17 @@ def _rng(seed: int, chunk: int, lane: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int, rng) -> np.ndarray:
-    """Afterpulse target gates triggered by traps from the given avalanches;
-    `rng(lane)` is the block's generator of that lane."""
+def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int,
+                      rng_trap: np.random.Generator, rng_trig: np.random.Generator) -> np.ndarray:
+    """Afterpulse target gates triggered by traps from the given avalanches."""
     if sources.size == 0:
         return sources
-    rng_trap = rng(_LANE_TRAP)
     counts = rng_trap.poisson(det.traps_per_avalanche, sources.size)
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
     offsets = rng_trap.exponential(det.detrap_tau, total)
-    triggered = rng(_LANE_TRIGGER).random(total) < det.p_trigger
+    triggered = rng_trig.random(total) < det.p_trigger
     origin = np.repeat(sources, counts)[triggered]
     period = 1.0 / det.f_g
     half_w = 0.5 * det.gate_width
@@ -267,14 +265,13 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
         g1 = min(g0 + _CHUNK, n_gates)
         m = g1 - g0
         occupied = np.zeros(m, dtype=bool)
-        # Each lane's generator is built once, when the lane first draws.
-        rng = functools.cache(functools.partial(_rng, seed, chunk_idx))
 
         # Primary photon avalanches on illuminated gates first, first + r, ...
         first = g0 + (phase - g0) % r
         n_illuminated = len(range(first, g1, r))
         if p_photon > 0 and n_illuminated:
-            photon_gates = np.flatnonzero(rng(_LANE_PHOTON).random(n_illuminated) < p_photon)
+            u = _rng(seed, chunk_idx, _LANE_PHOTON).random(n_illuminated)
+            photon_gates = np.flatnonzero(u < p_photon)
             photon_gates *= r  # in place: two more temporaries per block cost maxrate 40 MB of RSS
             photon_gates += first
         else:
@@ -283,7 +280,7 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
 
         # Dark avalanches anywhere a photon did not already fire.
         if det.dark_per_gate > 0:
-            hits = _bernoulli_hits(rng(_LANE_DARK), m, det.dark_per_gate)
+            hits = _bernoulli_hits(_rng(seed, chunk_idx, _LANE_DARK), m, det.dark_per_gate)
             dark_gates = g0 + hits[~occupied[hits]]
         else:
             dark_gates = np.empty(0, dtype=np.int64)
@@ -306,9 +303,11 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
             arrived = np.empty(0, dtype=np.int64)
 
         if traps_on:
+            rng_trap = _rng(seed, chunk_idx, _LANE_TRAP)
+            rng_trig = _rng(seed, chunk_idx, _LANE_TRIGGER)
             sources = np.concatenate([primaries, arrived]) if allow_afterpulse_cascades else primaries
             while sources.size:
-                cand = _spawn_candidates(sources, det, n_gates, rng)
+                cand = _spawn_candidates(sources, det, n_gates, rng_trap, rng_trig)
                 if cand.size:
                     pending = np.concatenate([pending, cand[cand >= g1]])
                     stay = np.unique(cand[cand < g1])
@@ -333,12 +332,9 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
         kinds = (keys & ((1 << _KIND_BITS) - 1)).astype(np.uint8)
 
         n_ev = gates.size
-        if n_ev:
-            jitter = _truncated_normal(rng(_LANE_JITTER), det.jitter_sigma, half_w, n_ev)
-            times = gates * period + jitter
-            charges = rng(_LANE_CHARGE).lognormal(mu_ln, sigma_ln, n_ev)
-        else:
-            times, charges = np.empty(0), np.empty(0)
+        jitter = _truncated_normal(_rng(seed, chunk_idx, _LANE_JITTER), det.jitter_sigma, half_w, n_ev)
+        times = gates * period + jitter
+        charges = _rng(seed, chunk_idx, _LANE_CHARGE).lognormal(mu_ln, sigma_ln, n_ev)
 
         gates_out.append(gates)
         kinds_out.append(kinds)

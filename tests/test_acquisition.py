@@ -127,11 +127,12 @@ def test_dead_time_matches_reference_loop(times, dead_time, slice_len, monkeypat
     assert out.tobytes() == ref.tobytes()
 
 
-def _dense_times(seed, n_gates):
-    # A carved source near saturation: about half the 0.8 ns gates click, with
-    # jitter, on the TDC's 1 ps grid; a 2 ns dead time spans two to three gates.
+def _dense_times(seed, n_gates, p_click=0.47):
+    # A carved source: about half the 0.8 ns gates click (every gate at
+    # saturation), with jitter, on the TDC's 1 ps grid; a 2 ns dead time spans
+    # two to three gates.
     rng = np.random.default_rng(seed)
-    gates = np.flatnonzero(rng.random(n_gates) < 0.47)
+    gates = np.flatnonzero(rng.random(n_gates) < p_click)
     jitter = np.clip(rng.normal(0.0, 50e-12, gates.size), -75e-12, 75e-12)
     return np.round((gates * 0.8e-9 + jitter) / 1e-12) * 1e-12
 
@@ -146,13 +147,21 @@ def _dense_ties(seed, n):
     (_dense_times(74, 300_000), 2e-9),
     (_dense_ties(75, 20_000), 2.0 * UNIT),
     (np.full(50, 1e-9), 2e-9),
-], ids=["dense", "dense-ties", "one-cluster"])
+    (_dense_times(76, 200_000, 1.0), 2e-9),
+    (np.arange(100_000) * 0.8e-9, 2e-9),
+    (np.sort(np.concatenate([_dense_times(77, 150_000), 1.3e-4 + _dense_times(78, 150_000, 1.0)])), 2e-9),
+], ids=["dense", "dense-ties", "one-cluster", "saturated", "evenly-spaced", "dense-then-saturated"])
 @pytest.mark.parametrize("slice_len", [None, 7, 64])
-def test_dead_time_matches_reference_on_dense_streams(times, dead_time, slice_len, monkeypatch):
+@pytest.mark.parametrize("max_passes", [None, 0])
+def test_dead_time_matches_reference_on_dense_streams(times, dead_time, slice_len, max_passes,
+                                                       monkeypatch):
     # Slices of 7 and 64 cut through clusters, and through whole slices that
-    # lie inside one click's window.
+    # lie inside one click's window.  Saturated slices are walked click by
+    # click; `max_passes` 0 walks every slice that holds a cluster.
     if slice_len is not None:
         monkeypatch.setattr(acquisition, "_DEAD_TIME_SLICE", slice_len)
+    if max_passes is not None:
+        monkeypatch.setattr(acquisition, "_MAX_PASSES", max_passes)
     out = _apply_dead_time(times, dead_time)
     assert out.tobytes() == _dead_time_reference(times, dead_time).tobytes()
 
