@@ -137,7 +137,7 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
         firsts = np.flatnonzero(keep)
         ends = np.append(firsts[1:], part.size)  # each cluster ends at the next sure click
         spans = part[ends - 1]
-        spans -= part[firsts]  # in place: one temporary less per slice kept maxrate's peak RSS 49 MB lower
+        spans -= part[firsts]  # in place: the out-of-place form raised maxrate's peak RSS by 49 MB
         if spans.max() > _MAX_PASSES * dead_time:
             walk = []
             for t in part.tolist():
