@@ -83,7 +83,7 @@ class Histogram:
     bins: np.ndarray   # int64 counts
 
     def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.int64)
+        self.bins = np.asarray(self.bins, dtype=np.int64).view()
         self.bins.flags.writeable = False
 
     @property
@@ -181,8 +181,27 @@ def tdc(clicks: np.ndarray, spec: TdcSpec) -> np.ndarray:
     clicks = np.asarray(clicks, dtype=np.float64)
     if clicks.size and np.any(np.diff(clicks) < 0):
         raise ValueError("click times must be sorted")
-    stamps = np.round(clicks / spec.resolution) * spec.resolution
-    return _apply_dead_time(stamps, spec.dead_time)
+    return _block_tdc(spec)(clicks)
+
+
+def _block_tdc(spec: TdcSpec):
+    """`tdc` of a stream that arrives in blocks: call the returned function on
+    each block of sorted click times, in order, to get that block's kept stamps.
+
+    The dead-time window end (the last kept stamp plus the dead time) carries
+    from one block to the next, and a block's stamps before it are dropped.
+    """
+    next_ok = -math.inf
+
+    def block(clicks: np.ndarray) -> np.ndarray:
+        nonlocal next_ok
+        stamps = np.round(clicks / spec.resolution) * spec.resolution
+        kept = _apply_dead_time(stamps[np.searchsorted(stamps, next_ok):], spec.dead_time)
+        if kept.size:
+            next_ok = kept[-1] + spec.dead_time
+        return kept
+
+    return block
 
 
 def _fold_bins(period: float, bin_width: float) -> int:

@@ -130,10 +130,10 @@ class EventStream:
     charge: np.ndarray      # float64 coulombs
 
     def __post_init__(self):
-        self.gate_index = np.asarray(self.gate_index, dtype=np.int64)
-        self.time = np.asarray(self.time, dtype=np.float64)
-        self.kind = np.asarray(self.kind, dtype=np.uint8)
-        self.charge = np.asarray(self.charge, dtype=np.float64)
+        self.gate_index = np.asarray(self.gate_index, dtype=np.int64).view()
+        self.time = np.asarray(self.time, dtype=np.float64).view()
+        self.kind = np.asarray(self.kind, dtype=np.uint8).view()
+        self.charge = np.asarray(self.charge, dtype=np.float64).view()
         n = self.gate_index.size
         if not (self.time.size == self.kind.size == self.charge.size == n):
             raise ValueError("event arrays must have equal length")
@@ -168,8 +168,6 @@ def _rng(seed: int, chunk: int, lane: int) -> np.random.Generator:
 def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int,
                       rng_trap: np.random.Generator, rng_trig: np.random.Generator) -> np.ndarray:
     """Afterpulse target gates triggered by traps from the given avalanches."""
-    if sources.size == 0:
-        return sources
     counts = rng_trap.poisson(det.traps_per_avalanche, sources.size)
     total = int(counts.sum())
     if total == 0:
@@ -225,24 +223,9 @@ def _truncated_normal(rng: np.random.Generator, sigma: float, bound: float, size
     return out
 
 
-def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
-             allow_afterpulse_cascades: bool = False) -> EventStream:
-    """Run the gated detector for n_gates gates; deterministic for a fixed seed.
-
-    Per gate: a photon avalanche fires with probability 1 - exp(-mu*eta) on
-    illuminated gates, otherwise a dark avalanche with dark_per_gate,
-    otherwise an afterpulse if a previously trapped carrier releases inside
-    the gate window and triggers.  Photon draws take one uniform per
-    illuminated gate.  Dark hits are independent Bernoulli(dark_per_gate)
-    trials over every gate of a block, drawn by geometric skips between
-    hits; a hit on a photon gate is dropped.  Avalanche times are gate
-    center plus truncated Gaussian jitter; charges are log-normal with the
-    configured mean and coefficient of variation.
-
-    By default afterpulse avalanches do not refill traps (first generation
-    only, matching `expected_afterpulses`); `allow_afterpulse_cascades` is an
-    experimental switch that lets them cascade.
-    """
+def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
+    """(gate_index, time, kind, charge) arrays of each `_CHUNK`-gate block of a
+    `simulate` run, in gate order; afterpulse targets carry from block to block."""
     if n_gates < 1:
         raise ValueError("n_gates must be >= 1")
     r = pulse_ratio(det, src)
@@ -255,13 +238,11 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
     sigma_ln = math.sqrt(math.log1p(det.charge_cv ** 2))
     mu_ln = math.log(det.mean_charge) - 0.5 * sigma_ln ** 2
 
-    gates_out: list[np.ndarray] = []
-    kinds_out: list[np.ndarray] = []
-    times_out: list[np.ndarray] = []
-    charges_out: list[np.ndarray] = []
     pending = np.empty(0, dtype=np.int64)  # afterpulse targets beyond the current block
 
-    for chunk_idx, g0 in enumerate(range(0, n_gates, _CHUNK)):
+    def block(chunk_idx: int, g0: int):
+        # a function, so that this block's temporaries are freed before the next is drawn
+        nonlocal pending
         g1 = min(g0 + _CHUNK, n_gates)
         m = g1 - g0
         occupied = np.zeros(m, dtype=bool)
@@ -270,8 +251,7 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
         first = g0 + (phase - g0) % r
         n_illuminated = len(range(first, g1, r))
         if p_photon > 0 and n_illuminated:
-            u = _rng(seed, chunk_idx, _LANE_PHOTON).random(n_illuminated)
-            photon_gates = np.flatnonzero(u < p_photon)
+            photon_gates = np.flatnonzero(_rng(seed, chunk_idx, _LANE_PHOTON).random(n_illuminated) < p_photon)
             photon_gates *= r  # in place: two more temporaries per block cost maxrate 40 MB of RSS
             photon_gates += first
         else:
@@ -286,41 +266,23 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
             dark_gates = np.empty(0, dtype=np.int64)
         occupied[dark_gates - g0] = True
 
-        primaries = np.concatenate([photon_gates, dark_gates])
-        primaries.sort()
-
         # Afterpulses: pending arrivals from earlier blocks, then traps from
-        # this block's avalanches.
-        ap_parts: list[np.ndarray] = []
+        # this block's primary avalanches (first generation only).
+        afterpulses = np.empty(0, dtype=np.int64)
         if pending.size:
-            here = pending[pending < g1]
+            arrived = np.unique(pending[pending < g1])
             pending = pending[pending >= g1]
-            arrived = np.unique(here)
-            arrived = arrived[~occupied[arrived - g0]]
-            occupied[arrived - g0] = True
-            ap_parts.append(arrived)
-        else:
-            arrived = np.empty(0, dtype=np.int64)
-
-        if traps_on:
-            rng_trap = _rng(seed, chunk_idx, _LANE_TRAP)
-            rng_trig = _rng(seed, chunk_idx, _LANE_TRIGGER)
-            sources = np.concatenate([primaries, arrived]) if allow_afterpulse_cascades else primaries
-            while sources.size:
-                cand = _spawn_candidates(sources, det, n_gates, rng_trap, rng_trig)
-                if cand.size:
-                    pending = np.concatenate([pending, cand[cand >= g1]])
-                    stay = np.unique(cand[cand < g1])
-                    stay = stay[~occupied[stay - g0]]
-                    occupied[stay - g0] = True
-                    ap_parts.append(stay)
-                else:
-                    stay = np.empty(0, dtype=np.int64)
-                if not allow_afterpulse_cascades:
-                    break
-                sources = stay
-
-        afterpulses = np.concatenate(ap_parts) if ap_parts else np.empty(0, dtype=np.int64)
+            afterpulses = arrived[~occupied[arrived - g0]]
+            occupied[afterpulses - g0] = True
+        if traps_on and photon_gates.size + dark_gates.size:
+            primaries = np.concatenate([photon_gates, dark_gates])
+            primaries.sort()
+            cand = _spawn_candidates(primaries, det, n_gates, _rng(seed, chunk_idx, _LANE_TRAP),
+                                     _rng(seed, chunk_idx, _LANE_TRIGGER))
+            if cand.size:
+                pending = np.concatenate([pending, cand[cand >= g1]])
+                stay = np.unique(cand[cand < g1])
+                afterpulses = np.concatenate([afterpulses, stay[~occupied[stay - g0]]])
 
         # One sort of the gates, each tagged with its kind in the low bits
         # (a gate holds at most one avalanche, so the tags never reorder).
@@ -335,18 +297,27 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int,
         jitter = _truncated_normal(_rng(seed, chunk_idx, _LANE_JITTER), det.jitter_sigma, half_w, n_ev)
         times = gates * period + jitter
         charges = _rng(seed, chunk_idx, _LANE_CHARGE).lognormal(mu_ln, sigma_ln, n_ev)
+        return gates, times, kinds, charges
 
-        gates_out.append(gates)
-        kinds_out.append(kinds)
-        times_out.append(times)
-        charges_out.append(charges)
+    for chunk_idx, g0 in enumerate(range(0, n_gates, _CHUNK)):
+        yield block(chunk_idx, g0)
 
-    return EventStream(
-        gate_index=np.concatenate(gates_out) if gates_out else np.empty(0, dtype=np.int64),
-        time=np.concatenate(times_out) if times_out else np.empty(0),
-        kind=np.concatenate(kinds_out) if kinds_out else np.empty(0, dtype=np.uint8),
-        charge=np.concatenate(charges_out) if charges_out else np.empty(0),
-    )
+
+def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int) -> EventStream:
+    """Run the gated detector for n_gates gates; deterministic for a fixed seed.
+
+    Per gate: a photon avalanche fires with probability 1 - exp(-mu*eta) on
+    illuminated gates, otherwise a dark avalanche with dark_per_gate,
+    otherwise an afterpulse if a previously trapped carrier releases inside
+    the gate window and triggers.  Photon draws take one uniform per
+    illuminated gate.  Dark hits are independent Bernoulli(dark_per_gate)
+    trials over every gate of a block, drawn by geometric skips between
+    hits; a hit on a photon gate is dropped.  Avalanche times are gate
+    center plus truncated Gaussian jitter; charges are log-normal with the
+    configured mean and coefficient of variation.  Afterpulse avalanches do
+    not refill traps (first generation only, matching `expected_afterpulses`).
+    """
+    return EventStream(*(np.concatenate(col) for col in zip(*_blocks(det, src, n_gates, seed))))
 
 
 def expected_afterpulses(det: DetectorConfig) -> float:

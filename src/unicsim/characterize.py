@@ -21,12 +21,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from ._io import read_csv, read_json, write_csv, write_json
-from .acquisition import classify, tdc, AcquisitionConfig
-from .apd import DetectorConfig, SourceConfig, pulse_ratio, simulate
+from .acquisition import _block_tdc, classify, AcquisitionConfig, TdcSpec
+from .apd import KIND_NAMES, DetectorConfig, SourceConfig, _blocks, pulse_ratio
 
 __all__ = [
     "RunReport",
@@ -169,17 +170,42 @@ def _pulsed_ratio(det: DetectorConfig, src: SourceConfig, n_gates: int | None = 
     return r
 
 
+class _Run(NamedTuple):
+    """One simulated run, reduced one gate block at a time."""
+
+    kept: int                  # stamps kept by the TDC
+    counts: dict[str, int]     # events by kind
+    charge: float              # summed avalanche charge, C
+    stamps: np.ndarray | None  # the kept stamps, when asked for
+
+
+def _run(det: DetectorConfig, src: SourceConfig, spec: TdcSpec, n_gates: int, seed: int,
+         keep_stamps: bool) -> _Run:
+    """`simulate` then `tdc`, one block at a time, holding no more than one
+    block of events.  The charge sum adds each block's `np.sum` in block order."""
+    tdc_block = _block_tdc(spec)
+    kept, by_kind, charge, stamps = 0, np.zeros(len(KIND_NAMES), dtype=np.int64), 0.0, []
+    for gates, time, kind, q in _blocks(det, src, n_gates, seed):
+        ts = tdc_block(time)
+        kept += ts.size
+        by_kind += np.bincount(kind, minlength=len(KIND_NAMES))
+        charge += float(np.sum(q))
+        if keep_stamps:
+            stamps.append(ts)
+        del gates, time, kind, q, ts  # freed before the next block is drawn
+    return _Run(kept, dict(zip(KIND_NAMES, by_kind.tolist())), charge,
+                np.concatenate(stamps) if keep_stamps else None)
+
+
 def _characterize_streams(det, src, acq, n_gates, seed):
-    """(report, laser-on stream, on-run timestamps) for reuse by sweep drivers."""
+    """(report, laser-on run) for reuse by sweep drivers; the run keeps its stamps."""
     r = _pulsed_ratio(det, src, n_gates)
     seed_on, seed_off = _derived_seeds(seed)
 
-    stream_on = simulate(det, src, n_gates, seed_on)
-    ts_on = tdc(stream_on.time, acq.tdc)
-    gc = classify(ts_on, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
+    on = _run(det, src, acq.tdc, n_gates, seed_on, keep_stamps=True)
+    gc = classify(on.stamps, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
 
-    stream_off = simulate(det, replace(src, mu=0.0), n_gates, seed_off)
-    ts_off = tdc(stream_off.time, acq.tdc)
+    ts_off = _run(det, replace(src, mu=0.0), acq.tdc, n_gates, seed_off, keep_stamps=True).stamps
     gc_off = classify(ts_off, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
     dark_clicks = gc_off.clicks_illuminated + gc_off.clicks_non_illuminated
     p_d = dark_clicks / n_gates
@@ -200,14 +226,13 @@ def _characterize_streams(det, src, acq, n_gates, seed):
     report = RunReport(**asdict(gc), p_d=p_d, r=r, mu=src.mu, p_a=p_a, eta_net=eta,
                        dark_gates=n_gates, dark_clicks=dark_clicks, p_i_sigma=s_i, p_ni_sigma=s_ni,
                        p_d_sigma=s_d, p_a_sigma=s_a, eta_net_sigma=s_eta)
-    return report, stream_on, ts_on
+    return report, on
 
 
 def run_characterization(det: DetectorConfig, src: SourceConfig, acq: AcquisitionConfig,
                          n_gates: int, seed: int) -> RunReport:
     """Pulsed laser-on run plus an equal-length laser-off run for P_D."""
-    report, _, _ = _characterize_streams(det, src, acq, n_gates, seed)
-    return report
+    return _characterize_streams(det, src, acq, n_gates, seed)[0]
 
 
 def efficiency_sweep(scenarios, src: SourceConfig, acq: AcquisitionConfig,
@@ -224,17 +249,10 @@ def efficiency_sweep(scenarios, src: SourceConfig, acq: AcquisitionConfig,
 
     def one(item):
         label, det = item
-        report, stream_on, ts_on = _characterize_streams(det, src, acq, n_gates, seed)
+        report, on = _characterize_streams(det, src, acq, n_gates, seed)
         span = n_gates / det.f_g
-        return SweepPoint(
-            label=label,
-            eta_net=report.eta_net,
-            p_a=report.p_a,
-            p_d=report.p_d,
-            flux=src.mu,
-            rate_hz=len(ts_on) / span,
-            photocurrent_a=float(np.sum(stream_on.charge)) / span,
-        ), report
+        return SweepPoint(label=label, eta_net=report.eta_net, p_a=report.p_a, p_d=report.p_d, flux=src.mu,
+                          rate_hz=on.kept / span, photocurrent_a=on.charge / span), report
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         results = list(pool.map(one, scenarios))
@@ -280,18 +298,10 @@ def count_rate_vs_flux(det: DetectorConfig, acq: AcquisitionConfig, flux_list,
 
     def one(item):
         idx, mu = item
-        src = SourceConfig(mode="cw_carved", laser_rate=det.f_g, mu=mu)
-        stream = simulate(det, src, n_gates, seed)
-        ts = tdc(stream.time, acq.tdc)
-        return SweepPoint(
-            label=f"flux_{idx:03d}",
-            eta_net=det.eta_gate,
-            p_a=0.0,
-            p_d=det.dark_per_gate,
-            flux=mu,
-            rate_hz=len(ts) / span,
-            photocurrent_a=float(np.sum(stream.charge)) / span,
-        )
+        run = _run(det, SourceConfig(mode="cw_carved", laser_rate=det.f_g, mu=mu), acq.tdc,
+                   n_gates, seed, keep_stamps=False)
+        return SweepPoint(label=f"flux_{idx:03d}", eta_net=det.eta_gate, p_a=0.0, p_d=det.dark_per_gate,
+                          flux=mu, rate_hz=run.kept / span, photocurrent_a=run.charge / span)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         points = list(pool.map(one, enumerate(flux_list)))

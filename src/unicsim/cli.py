@@ -389,15 +389,14 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_characterize(cfg: ExperimentConfig) -> list[str]:
     det = cfg.detector
-    report, _, ts_on = characterize._characterize_streams(det, cfg.source, cfg.acquisition,
-                                                          cfg.n_gates, cfg.seed)
+    report, on = characterize._characterize_streams(det, cfg.source, cfg.acquisition, cfg.n_gates, cfg.seed)
     written: list[str] = []
     if "json" in cfg.emit:
         characterize.write_run_report(_out(cfg, "run_report.json", written), report)
         gc = acquisition.GateCounts(**{f.name: getattr(report, f.name) for f in fields(acquisition.GateCounts)})
         acquisition.write_gate_counts_json(_out(cfg, "gate_counts.json", written), gc)
     if "csv" in cfg.emit:
-        hist = acquisition.histogram(ts_on, report.r / det.f_g, cfg.histogram_bin)
+        hist = acquisition.histogram(on.stamps, report.r / det.f_g, cfg.histogram_bin)
         acquisition.write_histogram_csv(_out(cfg, "histogram.csv", written), hist)
     print(f"characterize: eta_net={report.eta_net!r} p_a={report.p_a!r} p_d={report.p_d!r}")
     return written

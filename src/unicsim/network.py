@@ -224,7 +224,7 @@ class TwoPortResponse:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.asarray(self.values, dtype=np.complex128).view()
         if v.shape != (self.grid.n_points,):
             raise ValueError("values length must equal grid n_points")
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):

@@ -54,7 +54,7 @@ class Waveform:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        s = np.asarray(self.samples, dtype=np.float64)
+        s = np.asarray(self.samples, dtype=np.float64).view()  # read-only without freezing the caller's array
         if s.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         # min and max are NaN when any sample is, and infinite when one is:

@@ -163,8 +163,8 @@ def test_criterion_4_estimator_consistency():
 
     det_trap = DetectorConfig(eta_gate=0.25, dark_per_gate=1e-6, traps_per_avalanche=2.0,
                               detrap_tau=2e-9, p_trigger=0.1)
-    rep2, stream_on, _ = _characterize_streams(det_trap, src, ACQ0, 250_000_000, seed=1002)
-    counts = stream_on.counts()
+    rep2, on = _characterize_streams(det_trap, src, ACQ0, 250_000_000, seed=1002)
+    counts = on.counts
     label_ratio = counts["afterpulse"] / counts["photon"]
     pa_ok = abs(rep2.p_a - label_ratio) <= 3 * rep2.p_a_sigma
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from unicsim import (
     count_rate,
     discriminate,
     expected_click_prob,
+    get_preset,
     histogram,
     simulate,
     synth_avalanche,
@@ -34,6 +36,7 @@ from unicsim.acquisition import (
     write_histogram_csv,
     write_timestamps_binary,
 )
+from unicsim.apd import _CHUNK, _blocks
 
 from conftest import F_G, chain_response, record_bin_grid
 
@@ -179,6 +182,28 @@ def test_tdc_quantization_round_half_even():
     spec2 = TdcSpec(resolution=res, dead_time=0.0)
     assert tdc(np.array([1.5 * res]), spec2)[0] == 2 * res
     assert tdc(np.array([2.5 * res]), spec2)[0] == 2 * res
+
+
+# Three whole blocks and a partial one, so every stream crosses three block edges.
+EDGE_N_GATES = 3 * _CHUNK + 12_345
+EDGE_DET = get_preset("apd1_minus30C")
+
+
+@pytest.mark.parametrize("det, src", [
+    (EDGE_DET, SourceConfig(mode="cw_carved", laser_rate=1.25e9, mu=3.0)),
+    # saturated: no gap reaches the dead time, so clusters cross the block edges
+    (EDGE_DET, SourceConfig(mode="cw_carved", laser_rate=1.25e9, mu=30.0)),
+    (replace(EDGE_DET, traps_per_avalanche=2.0),
+     SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.5, illuminated_gate_phase=3)),
+    # jitter-free at 1 GHz the 2 ns dead time is two periods, so a carried
+    # window end ties with a stamp past a block edge, which must be kept
+    (replace(EDGE_DET, f_g=1e9, jitter_sigma=0.0), SourceConfig(mode="cw_carved", laser_rate=1e9, mu=30.0)),
+], ids=["carved", "saturated", "pulsed-traps", "ties"])
+def test_block_tdc_matches_tdc_across_block_edges(det, src):
+    spec = TdcSpec(resolution=1e-12, dead_time=2e-9)
+    tdc_block = acquisition._block_tdc(spec)
+    kept = np.concatenate([tdc_block(time) for _, time, _, _ in _blocks(det, src, EDGE_N_GATES, seed=5)])
+    assert np.array_equal(kept, tdc(simulate(det, src, EDGE_N_GATES, seed=5).time, spec))
 
 
 def test_tdc_empty_and_unsorted():

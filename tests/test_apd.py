@@ -172,19 +172,6 @@ def test_simulate_trap_toggle_preserves_primaries():
     assert np.array_equal(primaries_on, s_off.gate_index)
 
 
-def test_simulate_cascades_add_events():
-    det = DetectorConfig(eta_gate=0.0, dark_per_gate=0.01, jitter_sigma=0.0, **{
-        **TRAP_DET, "traps_per_avalanche": 4.0})
-    src = SourceConfig(mode="cw_carved", laser_rate=1.25e9, mu=0.0)
-    first_gen = simulate(det, src, 1_000_000, seed=3)
-    cascaded = simulate(det, src, 1_000_000, seed=3, allow_afterpulse_cascades=True)
-    assert cascaded.counts()["afterpulse"] > first_gen.counts()["afterpulse"]
-    assert np.array_equal(
-        first_gen.gate_index[first_gen.kind != KIND_AFTERPULSE],
-        cascaded.gate_index[cascaded.kind != KIND_AFTERPULSE],
-    )
-
-
 # Pulsed, mu = 0.5: photons occupy about 12% of the illuminated gates, so the
 # dark lane has to step around them.  Three blocks, the last one partial.
 DARK_SRC = SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.5, illuminated_gate_phase=2)

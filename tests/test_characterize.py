@@ -101,8 +101,8 @@ def test_run_characterization_afterpulse_vs_label_oracle():
     det = DetectorConfig(eta_gate=0.25, dark_per_gate=1e-6, traps_per_avalanche=2.0,
                          detrap_tau=2e-9, p_trigger=0.1)
     src = SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.1, illuminated_gate_phase=5)
-    report, stream_on, _ = _characterize_streams(det, src, ACQ0, 250_000_000, seed=303)
-    counts = stream_on.counts()
+    report, on = _characterize_streams(det, src, ACQ0, 250_000_000, seed=303)
+    counts = on.counts
     label_ratio = counts["afterpulse"] / counts["photon"]
     assert abs(report.p_a - label_ratio) <= 3 * report.p_a_sigma
     # the estimator also lands near the closed-form trap expectation
@@ -264,8 +264,8 @@ def test_characterization_reproduces_low_afterpulse_operating_point():
     det = DetectorConfig(eta_gate=0.212, dark_per_gate=5.4e-7, traps_per_avalanche=0.68066,
                          detrap_tau=2e-9, p_trigger=0.1)
     src = SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.1, illuminated_gate_phase=5)
-    report, stream_on, _ = _characterize_streams(det, src, ACQ0, 1_250_000_000, seed=404)
-    label_ratio = stream_on.counts()["afterpulse"] / stream_on.counts()["photon"]
+    report, on = _characterize_streams(det, src, ACQ0, 1_250_000_000, seed=404)
+    label_ratio = on.counts["afterpulse"] / on.counts["photon"]
     assert abs(report.p_a - label_ratio) <= 3 * report.p_a_sigma
     assert report.p_a == pytest.approx(0.010, abs=3 * report.p_a_sigma + 5e-4)
     assert abs(report.eta_net - 0.212) <= 3 * report.eta_net_sigma

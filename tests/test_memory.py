@@ -1,17 +1,19 @@
-"""Allocation bounds of the long-record and readout-chain kernels.
+"""Allocation bounds of the long-record, readout-chain and counting kernels.
 
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
-counts every whole-array temporary it holds.  Each bound is stated in
-records (or complex arrays) of the input's size.
+counts every whole-array temporary it holds.  Each kernel bound is stated in
+records (or complex arrays) of the input's size; the counting bound is stated
+against the same run over one gate block.
 """
 
 import copy
 import tracemalloc
 
 import numpy as np
+import pytest
 from test_golden import CONFIG
 
-from unicsim import cli, network, waveform
+from unicsim import acquisition, apd, characterize, cli, network, presets, waveform
 
 SPEC = waveform.GateWaveSpec(1.25e9, 0.42, ((2, 0.084, 0.0),))  # the README gate response
 
@@ -34,8 +36,31 @@ def test_synth_capacitive_holds_two_records():
 def test_wrapping_a_record_allocates_no_mask():
     samples = np.linspace(-1.0, 1.0, 1 << 20)
     w, peak = _traced_peak(waveform.Waveform, 4e10, 0.0, samples)
-    assert w.samples is samples
+    assert np.shares_memory(w.samples, samples)
     assert peak < 0.01 * samples.nbytes
+
+
+@pytest.mark.parametrize("wrap, arrays", [
+    (lambda a: waveform.Waveform(4e10, 0.0, *a), [np.zeros(8)]),
+    (lambda a: apd.EventStream(*a), [np.arange(8), np.arange(8.0), np.zeros(8, np.uint8), np.ones(8)]),
+    (lambda a: acquisition.Histogram(1e-11, 8e-11, *a), [np.zeros(8, np.int64)]),
+    (lambda a: network.TwoPortResponse(network.FrequencyGrid(0.0, 1.0, 8), *a), [np.ones(8, complex)]),
+], ids=["Waveform", "EventStream", "Histogram", "TwoPortResponse"])
+def test_wrapping_leaves_the_callers_arrays_writable(wrap, arrays):
+    wrapped = wrap(arrays)
+    views = [v for v in vars(wrapped).values() if isinstance(v, np.ndarray)]
+    assert len(views) == len(arrays)
+    for a, v in zip(arrays, views):
+        assert np.shares_memory(a, v) and not v.flags.writeable
+        assert a.flags.writeable
+
+
+def test_count_rate_vs_flux_holds_one_block():
+    det = presets.get_preset("apd1_minus30C")
+    acq = acquisition.AcquisitionConfig()  # the README's 2 ns TDC dead time
+    _, one = _traced_peak(characterize.count_rate_vs_flux, det, acq, [3.0], apd._CHUNK, 1)
+    _, eight = _traced_peak(characterize.count_rate_vs_flux, det, acq, [3.0], 8 * apd._CHUNK, 1)
+    assert eight <= 1.1 * one
 
 
 def test_write_waveform_binary_copies_no_record(tmp_path):
