@@ -124,7 +124,8 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
     """
     if dead_time <= 0 or times.size == 0:
         return times
-    kept = []
+    kept = np.empty_like(times)  # filled from the front, then shrunk to the kept clicks
+    n_kept = 0
     next_ok = -math.inf
     for start in range(0, times.size, _DEAD_TIME_SLICE):
         part = times[start:start + _DEAD_TIME_SLICE]
@@ -155,8 +156,10 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
                 keep[cur] = True
             part = part[keep]
             next_ok = part[-1] + dead_time
-        kept.append(part)
-    return np.concatenate(kept) if kept else times[:0]
+        kept[n_kept:n_kept + part.size] = part
+        n_kept += part.size
+    kept.resize(n_kept, refcheck=False)
+    return kept
 
 
 def discriminate(w: Waveform, spec: DiscriminatorSpec) -> np.ndarray:

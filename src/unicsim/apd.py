@@ -11,9 +11,11 @@ simulation matches the closed-form first-generation oracle
 Gates are processed in fixed-size blocks, each drawing from its own
 counter-based (Philox) random streams keyed by (seed, block, purpose), so a
 run is bit-reproducible and the primary photon/dark draws are unaffected by
-trap settings.  The photon lane draws one uniform per illuminated gate; the
-dark lane draws only the dark hits, as geometric gaps between them, so its
-cost scales with the number of dark events rather than with the gates.
+trap settings.  Each key is numpy's SeedSequence spawn key of (block,
+purpose), derived for a batch of blocks at once.  The photon lane draws one
+uniform per illuminated gate; the dark lane draws only the dark hits, as
+geometric gaps between them, so its cost scales with the number of dark
+events rather than with the gates.
 """
 
 from __future__ import annotations
@@ -160,9 +162,88 @@ class ClickProbabilities:
     p_non_illuminated: float
 
 
-def _rng(seed: int, chunk: int, lane: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk), int(lane)))
-    return np.random.Generator(np.random.Philox(ss))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), ported so that a
+# run mixes its seed words once and derives every (block, lane) key from them
+# by array arithmetic, instead of building one SeedSequence per key.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_KEY_BATCH = 256  # blocks whose keys are derived together
+_N_LANES = _LANE_JITTER + 1
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """The running hash constant of n + 1 successive `_hashmix` calls."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashmix(value, h0, h1):
+    """numpy's `hashmix` of a call that finds the hash constant at h0 and
+    advances it to h1; on Python ints, or elementwise on uint32 arrays."""
+    value = (value ^ h0) * h1 & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _block_keys(seed: int):
+    """Function from an array of block indices (each < 2**32) to their
+    (blocks, lanes, 2) uint64 Philox keys.  Each key equals numpy's
+    SeedSequence(entropy=seed, spawn_key=(block, lane)).generate_state(2, np.uint64).
+
+    The entropy is the seed's uint32 words (zero-padded to the pool size),
+    then the block word, then the lane word.  The pool after the seed words
+    is computed once in scalar code; the block and lane words are mixed into
+    it for every (block, lane) at once.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    # one hashmix per pool slot, one per ordered pair of slots, and one per
+    # slot for each word past the pool
+    n_seed_calls = _POOL_SIZE * len(words)
+    h = _hash_constants(_INIT_A, _MULT_A, n_seed_calls + 2 * _POOL_SIZE)
+    calls = iter(zip(h, h[1:]))
+    pool = [_hashmix(w, *next(calls)) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, *next(calls)))
+
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    h = np.array(h[n_seed_calls:], dtype=np.uint32)[:, None]  # 4 calls for the block word, 4 for the lane
+    lane_words = _hashmix(np.arange(_N_LANES, dtype=np.uint32), h[4:8], h[5:9])  # (pool, lane)
+    g = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)[:, None, None]
+
+    def keys(blocks: np.ndarray) -> np.ndarray:
+        mixed = _mix(pool, _hashmix(blocks.astype(np.uint32), h[0:4], h[1:5]))  # (pool, block)
+        mixed = _mix(mixed[:, :, None], lane_words[:, None, :])  # (pool, block, lane)
+        state = _hashmix(mixed, g[:-1], g[1:]).astype(np.uint64)  # words 0-3 of generate_state
+        return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+    return keys
+
+
+def _philox_at(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """`gen` reset to the state of a new Generator(Philox) with this key:
+    counter 0, an empty buffer and no cached uint32."""
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _PHILOX_ZEROS, "key": key},
+                               "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int,
@@ -228,6 +309,8 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
     `simulate` run, in gate order; afterpulse targets carry from block to block."""
     if n_gates < 1:
         raise ValueError("n_gates must be >= 1")
+    if n_gates > _CHUNK << 32:
+        raise ValueError("n_gates must be <= 2**52 (block indices are one uint32 word)")
     r = pulse_ratio(det, src)
     phase = src.illuminated_gate_phase if src.mode == "pulsed" else 0
     p_photon = -math.expm1(-src.mu * det.eta_gate)
@@ -239,10 +322,16 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
     mu_ln = math.log(det.mean_charge) - 0.5 * sigma_ln ** 2
 
     pending = np.empty(0, dtype=np.int64)  # afterpulse targets beyond the current block
+    block_keys = _block_keys(seed)
+    gens = [np.random.Generator(np.random.Philox(0)) for _ in range(_N_LANES)]  # reset per block
 
-    def block(chunk_idx: int, g0: int):
+    def block(lane_keys: np.ndarray, g0: int):
         # a function, so that this block's temporaries are freed before the next is drawn
         nonlocal pending
+
+        def rng(lane: int) -> np.random.Generator:
+            return _philox_at(gens[lane], lane_keys[lane])
+
         g1 = min(g0 + _CHUNK, n_gates)
         m = g1 - g0
         occupied = np.zeros(m, dtype=bool)
@@ -251,7 +340,7 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
         first = g0 + (phase - g0) % r
         n_illuminated = len(range(first, g1, r))
         if p_photon > 0 and n_illuminated:
-            photon_gates = np.flatnonzero(_rng(seed, chunk_idx, _LANE_PHOTON).random(n_illuminated) < p_photon)
+            photon_gates = np.flatnonzero(rng(_LANE_PHOTON).random(n_illuminated) < p_photon)
             photon_gates *= r  # in place: two more temporaries per block cost maxrate 40 MB of RSS
             photon_gates += first
         else:
@@ -260,7 +349,7 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
 
         # Dark avalanches anywhere a photon did not already fire.
         if det.dark_per_gate > 0:
-            hits = _bernoulli_hits(_rng(seed, chunk_idx, _LANE_DARK), m, det.dark_per_gate)
+            hits = _bernoulli_hits(rng(_LANE_DARK), m, det.dark_per_gate)
             dark_gates = g0 + hits[~occupied[hits]]
         else:
             dark_gates = np.empty(0, dtype=np.int64)
@@ -277,8 +366,7 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
         if traps_on and photon_gates.size + dark_gates.size:
             primaries = np.concatenate([photon_gates, dark_gates])
             primaries.sort()
-            cand = _spawn_candidates(primaries, det, n_gates, _rng(seed, chunk_idx, _LANE_TRAP),
-                                     _rng(seed, chunk_idx, _LANE_TRIGGER))
+            cand = _spawn_candidates(primaries, det, n_gates, rng(_LANE_TRAP), rng(_LANE_TRIGGER))
             if cand.size:
                 pending = np.concatenate([pending, cand[cand >= g1]])
                 stay = np.unique(cand[cand < g1])
@@ -294,13 +382,16 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
         kinds = (keys & ((1 << _KIND_BITS) - 1)).astype(np.uint8)
 
         n_ev = gates.size
-        jitter = _truncated_normal(_rng(seed, chunk_idx, _LANE_JITTER), det.jitter_sigma, half_w, n_ev)
+        jitter = _truncated_normal(rng(_LANE_JITTER), det.jitter_sigma, half_w, n_ev)
         times = gates * period + jitter
-        charges = _rng(seed, chunk_idx, _LANE_CHARGE).lognormal(mu_ln, sigma_ln, n_ev)
+        charges = rng(_LANE_CHARGE).lognormal(mu_ln, sigma_ln, n_ev)
         return gates, times, kinds, charges
 
-    for chunk_idx, g0 in enumerate(range(0, n_gates, _CHUNK)):
-        yield block(chunk_idx, g0)
+    starts = range(0, n_gates, _CHUNK)
+    for chunk_idx, g0 in enumerate(starts):
+        if chunk_idx % _KEY_BATCH == 0:
+            batch_keys = block_keys(np.arange(chunk_idx, min(chunk_idx + _KEY_BATCH, len(starts))))
+        yield block(batch_keys[chunk_idx % _KEY_BATCH], g0)
 
 
 def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int) -> EventStream:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,8 +12,10 @@ from unicsim import (
     pulse_ratio,
     simulate,
 )
+from unicsim import apd, presets
 from unicsim.apd import (
     _CHUNK,
+    _KEY_BATCH,
     KIND_AFTERPULSE,
     KIND_DARK,
     KIND_PHOTON,
@@ -219,6 +222,66 @@ def test_simulate_certain_dark_fills_every_free_gate():
     assert photon.any()
     assert np.all(s.gate_index[photon] % 125 == 2)
     assert np.all(s.kind[~photon] == KIND_DARK)
+
+
+# ---------------------------------------------------------------------------
+# Random streams
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 3])
+def test_block_keys_are_numpy_spawn_keys(seed):
+    blocks = np.array([0, 1, _KEY_BATCH - 1, _KEY_BATCH, _KEY_BATCH + 1, 1192])
+    keys = apd._block_keys(seed)(blocks)
+    assert keys.shape == (blocks.size, 6, 2) and keys.dtype == np.uint64
+    gen = np.random.Generator(np.random.Philox(0))
+    for block, lane_keys in zip(blocks.tolist(), keys):
+        for lane, key in enumerate(lane_keys):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(block, lane))
+            assert key.tolist() == ss.generate_state(2, np.uint64).tolist()
+            # a used generator (buffer part-read, a cached uint32) resets to a new one
+            gen.integers(0, 2**32, size=3, dtype=np.uint32)
+            got, want = apd._philox_at(gen, key), np.random.Generator(np.random.Philox(ss))
+            for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32), lambda g: g.random(5)):
+                assert draw(got).tolist() == draw(want).tolist()
+
+
+def test_keys_reject_a_negative_seed_and_a_block_past_one_word():
+    with pytest.raises(ValueError, match="non-negative"):
+        apd._block_keys(-1)
+    with pytest.raises(ValueError, match="2\\*\\*52"):
+        next(apd._blocks(DetectorConfig(), SourceConfig(), (_CHUNK << 32) + 1, 1))
+
+
+# sha256 of simulate's four arrays, recorded when every (block, lane)
+# stream was built from its own numpy SeedSequence.  Both runs span several
+# blocks, so a key batch of 2 crosses batch edges.
+MULTI_BLOCK_RUNS = {
+    "pulsed-traps": (
+        "apd1_30C", SourceConfig(mode="pulsed", laser_rate=1e7, mu=2.0, illuminated_gate_phase=5),
+        3 * _CHUNK + 17, 11,
+        ("fe09bedd87193ca9275c8740addb339cb1b636599500030758d1462cb7240e8e",
+         "d227ea5c5600c66a6e20a1e63b72d7fb9631c18a82d2ed1f946d549b6c9fb655",
+         "2a0a9ac2d3485bffa481e6364b783dddef2542ec9b439142a873d0ef989b00a0",
+         "f4a06e9c59ce35dd21671ac81ce51f9ad152bbb46935b5d125cc5511b8397299")),
+    "carved": (
+        "apd1_minus30C", SourceConfig(mode="cw_carved", laser_rate=1.25e9, mu=3.0),
+        2 * _CHUNK + 5, 2**64 + 7,
+        ("e9a30b0908af0c776cf78ee1ef4d85597dc3690f88d6963ed5e5e2c6f7faaa98",
+         "b4599de64aafbb0f541f5bf3f501466e76c76db598980ee337d387f8248f45a5",
+         "6aeff5e9409336490e7e8236bdf41a75d5d5ef11a7eb88ed4fd22d027c836358",
+         "3fd30f4fd0110a92331f93aa151e7178f5d2402b5f46487d0a517b8262b34c40")),
+}
+
+
+@pytest.mark.parametrize("key_batch", [2, _KEY_BATCH])
+@pytest.mark.parametrize("run", MULTI_BLOCK_RUNS, ids=list(MULTI_BLOCK_RUNS))
+def test_multi_block_streams_are_pinned(run, key_batch, monkeypatch):
+    monkeypatch.setattr(apd, "_KEY_BATCH", key_batch)
+    preset, src, n_gates, seed, want = MULTI_BLOCK_RUNS[run]
+    s = simulate(presets.get_preset(preset), src, n_gates, seed)
+    assert s.counts()["afterpulse"] > 0
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (s.gate_index, s.time, s.kind, s.charge))
+    assert got == want
 
 
 def test_pulse_ratio_validation():

@@ -17,6 +17,7 @@ from unicsim import (
     net_efficiency,
     run_characterization,
 )
+from unicsim.apd import _CHUNK
 from unicsim.characterize import (
     SweepPoint,
     SweepResult,
@@ -158,6 +159,19 @@ def test_efficiency_sweep_monotone_and_deterministic():
     # afterpulsing rises with detection efficiency
     assert high.eta_net > low.eta_net
     assert high.p_a > low.p_a
+
+
+def test_sweeps_do_not_depend_on_the_thread_count(monkeypatch):
+    """Each run owns its generators, so threads sharing the sweep change nothing."""
+    src = SourceConfig(mode="pulsed", laser_rate=1e7, mu=1.0, illuminated_gate_phase=5)
+    scenarios = [(f"s{traps}", _trap_det(0.25, traps)) for traps in (0.5, 1.0, 2.0)]
+    results = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("UNIC_SIM_THREADS", threads)
+        results.append((count_rate_vs_flux(_trap_det(0.25, 1.0), AcquisitionConfig(), [0.1, 1.0, 3.0],
+                                           2 * _CHUNK, 5),
+                        efficiency_sweep(scenarios, src, ACQ0, 2 * _CHUNK, 5)))
+    assert results[0] == results[1]
 
 
 def test_efficiency_sweep_trap_scaling():

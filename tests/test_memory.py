@@ -63,6 +63,18 @@ def test_count_rate_vs_flux_holds_one_block():
     assert eight <= 1.1 * one
 
 
+def test_block_keys_do_not_grow_with_the_run():
+    det = presets.get_preset("apd1_minus30C")
+    src = apd.SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.1)
+
+    def first_block(n_gates):
+        return next(apd._blocks(det, src, n_gates, 1))
+
+    _, short = _traced_peak(first_block, 2**21)
+    _, long = _traced_peak(first_block, 2**40)
+    assert long <= short + 64 * 1024
+
+
 def test_write_waveform_binary_copies_no_record(tmp_path):
     w = waveform.synth_capacitive(SPEC, 2e-5, 4e10)
     _, peak = _traced_peak(waveform.write_waveform_binary, tmp_path / "w.bin", w)
