@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._io import read_csv, read_json, write_csv, write_json
+from .apd import _distinct
 from .waveform import Waveform
 
 __all__ = [
@@ -251,7 +252,7 @@ def classify(ts: np.ndarray, f_g: float, r: int, illuminated_index: int,
     gates = np.rint((ts - offset) * f_g).astype(np.int64)
     if gates.size and (gates.min() < 0 or gates.max() >= n_gates):
         raise ValueError("timestamp maps outside [0, n_gates)")
-    hit = np.unique(gates)
+    hit = _distinct(gates)
     ill = (hit % r) == illuminated_index
     clicks_ill = int(ill.sum())
     clicks_ni = int(hit.size - clicks_ill)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import read_csv, write_csv
+from ._io import Coded, read_csv, write_csv
 
 __all__ = [
     "DetectorConfig",
@@ -304,6 +304,15 @@ def _truncated_normal(rng: np.random.Generator, sigma: float, bound: float, size
     return out
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of `a`, sorted: `np.unique` without the numpy.ma
+    import it makes."""
+    a = np.sort(a)
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
     """(gate_index, time, kind, charge) arrays of each `_CHUNK`-gate block of a
     `simulate` run, in gate order; afterpulse targets carry from block to block."""
@@ -359,7 +368,7 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
         # this block's primary avalanches (first generation only).
         afterpulses = np.empty(0, dtype=np.int64)
         if pending.size:
-            arrived = np.unique(pending[pending < g1])
+            arrived = _distinct(pending[pending < g1])
             pending = pending[pending >= g1]
             afterpulses = arrived[~occupied[arrived - g0]]
             occupied[afterpulses - g0] = True
@@ -369,7 +378,7 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
             cand = _spawn_candidates(primaries, det, n_gates, rng(_LANE_TRAP), rng(_LANE_TRIGGER))
             if cand.size:
                 pending = np.concatenate([pending, cand[cand >= g1]])
-                stay = np.unique(cand[cand < g1])
+                stay = _distinct(cand[cand < g1])
                 afterpulses = np.concatenate([afterpulses, stay[~occupied[stay - g0]]])
 
         # One sort of the gates, each tagged with its kind in the low bits
@@ -411,7 +420,7 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int) ->
     return EventStream(*(np.concatenate(col) for col in zip(*_blocks(det, src, n_gates, seed))))
 
 
-def expected_afterpulses(det: DetectorConfig) -> float:
+def expected_afterpulses(det: DetectorConfig, dead_time: float = 0.0) -> float:
     """First-generation afterpulses per avalanche, closed form.
 
     A carrier trapped at the gate window start releases after Exp(tau); it
@@ -420,14 +429,24 @@ def expected_afterpulses(det: DetectorConfig) -> float:
     k >= 1 and scaling by the mean trap count and trigger probability:
 
         A = n * p * (1 - exp(-w/tau)) * exp(-T/tau) / (1 - exp(-T/tau))
+
+    A TDC `dead_time` after each kept click hides the afterpulses of the
+    next m = floor(dead_time / T) gates, those whose centre lies inside it,
+    so the series starts at m + 1 and the counted afterpulses per avalanche
+    are A * exp(-m*T/tau).  The jitter edge: the clicks of a gate whose
+    centre lies within a few jitter sigma of the dead-time end are masked
+    only in part, and m counts that gate only when its centre is inside.
     """
+    if dead_time < 0:
+        raise ValueError("dead_time must be >= 0")
     t_over_tau = 1.0 / (det.f_g * det.detrap_tau)
     w_term = -math.expm1(-det.gate_width / det.detrap_tau)
     decay = math.exp(-t_over_tau)
     if decay == 0.0:
         return 0.0
     geometric = decay / -math.expm1(-t_over_tau)
-    return det.traps_per_avalanche * det.p_trigger * w_term * geometric
+    masked = math.floor(dead_time * det.f_g)
+    return det.traps_per_avalanche * det.p_trigger * w_term * geometric * math.exp(-masked * t_over_tau)
 
 
 def expected_click_prob(det: DetectorConfig, src: SourceConfig) -> ClickProbabilities:
@@ -460,7 +479,7 @@ _EVENTS_HEADER = ["gate_index", "time_s", "kind", "charge_c"]
 
 
 def write_events_csv(path, stream: EventStream) -> None:
-    kinds = np.asarray(KIND_NAMES, dtype=object)[stream.kind]
+    kinds = Coded(KIND_NAMES, stream.kind)
     write_csv(path, _EVENTS_HEADER, [stream.gate_index, stream.time, kinds, stream.charge])
 
 

@@ -436,6 +436,17 @@ def _cross(f0, m0, f1, m1, thr):
     return f0 + (f1 - f0) * (m0 - thr) / (m0 - m1)
 
 
+def _median(a: np.ndarray) -> float:
+    """`np.median` of a non-empty 1-d float array, without the numpy.ma import
+    it makes: the middle value, or the mean (a + b) / 2 of the middle two;
+    NaN if any value is NaN."""
+    lo, hi = (a.size - 1) // 2, a.size // 2
+    part = np.partition(a, [lo, hi, -1])
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(part[hi]) if lo == hi else float((part[lo] + part[hi]) / 2)
+
+
 def null_metrics(resp: TwoPortResponse, f_g: float) -> NullMetrics:
     """Locate the rejection null near f_g and measure it against the background.
 
@@ -455,7 +466,7 @@ def null_metrics(resp: TwoPortResponse, f_g: float) -> NullMetrics:
     bg_mask = (f >= _BACKGROUND_BAND[0]) & (f <= _BACKGROUND_BAND[1]) & (np.abs(f - f_g) > _BACKGROUND_EXCLUDE)
     if bg_mask.sum() < 100:
         raise ValueError("grid does not cover enough of the 0.1-2 GHz background band")
-    background = float(np.median(mag[bg_mask]))
+    background = _median(mag[bg_mask])
     background_loss_db = -20.0 * math.log10(max(background, _MAG_FLOOR))
 
     search = np.nonzero(np.abs(f - f_g) <= _NULL_SEARCH)[0]

@@ -45,6 +45,26 @@ def test_expected_afterpulses_matches_numeric_summation():
     assert a == pytest.approx(0.0293830, abs=5e-7)
 
 
+@pytest.mark.parametrize("dead_time, masked", [(0.0, 0), (0.5e-9, 0), (2e-9, 2), (4.1e-9, 5)])
+def test_expected_afterpulses_under_dead_time_drops_the_masked_gates(dead_time, masked):
+    det = DetectorConfig(**TRAP_DET)
+    tau = det.detrap_tau
+    period = 1.0 / det.f_g
+    # literal summation over the gates after the dead time
+    total = sum(math.exp(-k * period / tau) - math.exp(-(k * period + det.gate_width) / tau)
+                for k in range(masked + 1, 10_000))
+    a = expected_afterpulses(det, dead_time=dead_time)
+    assert a == pytest.approx(det.traps_per_avalanche * det.p_trigger * total, rel=1e-12)
+    assert a == pytest.approx(expected_afterpulses(det) * math.exp(-masked * period / tau), rel=1e-12)
+
+
+def test_expected_afterpulses_default_is_no_dead_time():
+    det = presets.get_preset("apd1_minus30C")
+    assert expected_afterpulses(det) == expected_afterpulses(det, dead_time=0.0)
+    with pytest.raises(ValueError, match="dead_time"):
+        expected_afterpulses(det, dead_time=-1e-9)
+
+
 def test_expected_afterpulses_limits():
     base = dict(TRAP_DET)
     assert expected_afterpulses(DetectorConfig(**{**base, "detrap_tau": 1e-15})) == 0.0

@@ -14,6 +14,7 @@ from unicsim import (
     efficiency_at_afterpulse,
     efficiency_sweep,
     expected_afterpulses,
+    get_preset,
     net_efficiency,
     run_characterization,
 )
@@ -108,6 +109,19 @@ def test_run_characterization_afterpulse_vs_label_oracle():
     assert abs(report.p_a - label_ratio) <= 3 * report.p_a_sigma
     # the estimator also lands near the closed-form trap expectation
     assert report.p_a == pytest.approx(expected_afterpulses(det), rel=0.2)
+
+
+def test_run_characterization_afterpulses_masked_by_dead_time():
+    # a 2 ns TDC dead time hides the afterpulses of the next two gates (0.8 ns
+    # apart), so p_a estimates A exp(-2 T / tau), about 45% of A
+    det = get_preset("apd1_minus30C")
+    src = SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.1, illuminated_gate_phase=5)
+    acq = AcquisitionConfig(tdc=TdcSpec(resolution=1e-12, dead_time=2e-9))
+    report = run_characterization(det, src, acq, n_gates=250_000_000, seed=2027)
+    masked = expected_afterpulses(det, dead_time=2e-9)
+    assert masked == pytest.approx(0.449329 * expected_afterpulses(det), rel=1e-5)
+    assert abs(report.p_a - masked) <= 3 * report.p_a_sigma
+    assert abs(report.p_a - expected_afterpulses(det)) > 3 * report.p_a_sigma
 
 
 def test_report_recomputable_and_roundtrip(tmp_path):

@@ -13,6 +13,8 @@ from unicsim.characterize import read_run_report, read_sweep_csv
 from unicsim.network import read_spectrum_csv
 from unicsim.waveform import read_waveform_binary, read_waveform_csv
 
+from test_golden import CONFIG as GOLDEN_CONFIG
+
 NETWORK = {
     "f_g": 1.25e9,
     "coupler_tap": 0.9,
@@ -168,6 +170,33 @@ def test_maxrate_command(tmp_path):
     assert sweep.points[1].rate_hz > sweep.points[0].rate_hz
     data = json.loads((tmp_path / "out" / "maxrate.json").read_text())
     assert data["points"][1]["charge_c"] == pytest.approx(3.8e-14, rel=0.05)
+
+
+# numpy 2 imports numpy.ma lazily, and np.unique and np.median pull it in
+# (18-28 ms of import per process); no subcommand needs it.
+_RUN_AND_REPORT_NUMPY_MA = """
+import json, sys
+import numpy
+eager = "numpy.ma" in sys.modules
+from unicsim import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "eager": eager, "loaded": "numpy.ma" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("command", ["design", "spectrum", "waveform", "simulate", "characterize",
+                                     "sweep", "maxrate"])
+def test_no_command_imports_numpy_ma(tmp_path, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**GOLDEN_CONFIG, "output_dir": str(tmp_path / "out")}))
+    res = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY_MA, command, "-c", str(cfg)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    if report["eager"]:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert report["code"] == 0, res.stderr
+    assert not report["loaded"]
 
 
 # ---------------------------------------------------------------------------

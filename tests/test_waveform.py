@@ -19,6 +19,7 @@ from unicsim import (
     synth_capacitive,
     unic_response,
 )
+from unicsim import waveform
 from unicsim.network import Delay
 from unicsim.waveform import (
     read_waveform_binary,
@@ -161,6 +162,51 @@ def test_impulse_fidelity_through_one_stage(saw, design):
         return (above[-1] - above[0]) / RATE
 
     assert width_30db(out.samples) <= 2.0 * width_30db(w.samples)
+
+
+def _add_impulses_loop(w, spec, times):
+    """`add_impulses` as one window per impulse, added in order: the reference."""
+    y = w.samples.copy()
+    n = y.size
+    half = max(1, int(round(6.0 * spec.fwhm * w.sample_rate)))
+    coeff = -4.0 * math.log(2.0) / spec.fwhm ** 2
+    for tc in np.asarray(times, dtype=np.float64):
+        c = (tc - w.t0) * w.sample_rate
+        lo = max(0, int(c) - half)
+        hi = min(n, int(c) + half + 1)
+        if hi <= lo:
+            continue
+        t_rel = (np.arange(lo, hi) / w.sample_rate) + w.t0 - tc
+        y[lo:hi] += spec.peak * np.exp(coeff * t_rel ** 2)
+    return y
+
+
+@pytest.mark.parametrize("case", ["strided", "overlapping", "edges"])
+def test_add_impulses_matches_loop_reference_bytes(case, monkeypatch):
+    rng = np.random.default_rng(11)
+    n, t0 = 8000, 3e-9
+    w = Waveform(RATE, t0, rng.standard_normal(n) * 1e-4)
+    span = n / RATE
+    times = {
+        "strided": t0 + np.arange(0.0, span, 0.8e-9 * 50),
+        # windows overlap heavily, in random order, so the order of the adds matters
+        "overlapping": t0 + rng.uniform(-0.5e-9, span + 0.5e-9, 3000),
+        # centres just inside and outside both ends, and far outside
+        "edges": t0 + np.array([-2e-9, -1e-12, 0.0, 1e-12, span - 1e-12, span, span + 1e-12,
+                                span + 2e-9, -1e6, 1e6]),
+    }[case]
+    spec = ImpulseSpec(fwhm=150e-12, peak=1e-3)
+    want = _add_impulses_loop(w, spec, times)
+    assert add_impulses(w, spec, times).samples.tobytes() == want.tobytes()
+    # and when the impulses are placed a few at a time
+    monkeypatch.setattr(waveform, "_IMPULSE_CHUNK", 200)
+    assert add_impulses(w, spec, times).samples.tobytes() == want.tobytes()
+
+
+def test_add_impulses_rejects_non_finite_times():
+    w = Waveform(RATE, 0.0, np.zeros(100))
+    with pytest.raises(ValueError, match="finite"):
+        add_impulses(w, ImpulseSpec(fwhm=150e-12, peak=1e-3), [1e-9, math.nan])
 
 
 def test_apply_response_linearity(saw, design):
