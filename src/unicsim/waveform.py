@@ -41,7 +41,7 @@ DEFAULT_SAMPLE_RATE = 40e9  # 32 samples per 1.25 GHz gate period
 # 2**17 taps at 40 GS/s is a 3.3 us window, far beyond the SAW ring-down.
 DEFAULT_IR_LENGTH = 1 << 17
 _MAX_SINGLE_FFT = 1 << 22
-_IMPULSE_CHUNK = 1 << 18  # impulse samples placed at once by add_impulses (2 MB per array)
+_IMPULSE_CHUNK = 1 << 13  # impulse samples placed at once by add_impulses (64 KB per array)
 
 
 @dataclass
@@ -214,8 +214,15 @@ def add_impulses(w: Waveform, spec: ImpulseSpec, times) -> Waveform:
     for k in range(0, times.size, step):
         idx = centres[k:k + step, None] + offsets
         inside = (idx >= 0) & (idx < n)
-        t_rel = (idx / w.sample_rate) + w.t0 - times[k:k + step, None]
-        np.add.at(y, idx[inside], spec.peak * np.exp(coeff * t_rel[inside] ** 2))
+        t_rel = idx / w.sample_rate
+        t_rel += w.t0
+        t_rel -= times[k:k + step, None]
+        v = t_rel[inside]  # peak * exp(coeff * t_rel**2), in place
+        np.square(v, out=v)
+        v *= coeff
+        np.exp(v, out=v)
+        v *= spec.peak
+        np.add.at(y, idx[inside], v)
     return Waveform(w.sample_rate, w.t0, y)
 
 
