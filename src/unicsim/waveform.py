@@ -206,14 +206,15 @@ def add_impulses(w: Waveform, spec: ImpulseSpec, times) -> Waveform:
     times = np.asarray(times, dtype=np.float64).ravel()
     if not np.all(np.isfinite(times)):
         raise ValueError("impulse times must be finite")
-    # a centre further than half + 2 samples outside the record adds nothing
-    # either way, so clipping it keeps int() inside int64
-    centres = np.clip((times - w.t0) * w.sample_rate, -half - 2.0, n + half + 2.0).astype(np.int64)
-    offsets = np.arange(-half, half + 1)
+    # int(c) held as a float, as are the sample indices, so that no ufunc
+    # casts (a casting ufunc's buffers raised the waveform peak RSS); a
+    # centre further than half + 2 samples outside the record adds nothing
+    centres = np.trunc(np.clip((times - w.t0) * w.sample_rate, -half - 2.0, n + half + 2.0))
+    offsets = np.arange(-half, half + 1, dtype=np.float64)
     step = max(1, _IMPULSE_CHUNK // offsets.size)
     for k in range(0, times.size, step):
-        idx = centres[k:k + step, None] + offsets
-        inside = (idx >= 0) & (idx < n)
+        idx = np.add.outer(centres[k:k + step], offsets)
+        inside = (idx >= 0.0) & (idx < n)
         t_rel = idx / w.sample_rate
         t_rel += w.t0
         t_rel -= times[k:k + step, None]
@@ -222,7 +223,7 @@ def add_impulses(w: Waveform, spec: ImpulseSpec, times) -> Waveform:
         v *= coeff
         np.exp(v, out=v)
         v *= spec.peak
-        np.add.at(y, idx[inside], v)
+        np.add.at(y, idx[inside].astype(np.intp), v)
     return Waveform(w.sample_rate, w.t0, y)
 
 
