@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unicsim import _io, apd, presets
+from unicsim import _cells, _io, apd, presets
 
 FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1]),
@@ -56,10 +56,10 @@ def _reference(path, header, columns):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*[_cells(c) for c in columns]))
+        w.writerows(zip(*[_row_cells(c) for c in columns]))
 
 
-def _cells(column):
+def _row_cells(column):
     if isinstance(column, _io.Coded):
         return [column.names[i] for i in column.codes]
     return column.tolist() if isinstance(column, np.ndarray) else column
@@ -133,7 +133,7 @@ def test_float_cells_match_repr_across_slices(tmp_path, rows_per_slice):
 
 def test_threads_building_the_power_table_at_once_write_reprs(tmp_path, monkeypatch):
     # more writers than cores, each needing its own decades of the lazily built table
-    monkeypatch.setattr(_io, "_POWERS", _io._PowerTable())
+    monkeypatch.setattr(_cells, "_POWERS", _cells._PowerTable())
     columns = [np.float64(10.0) ** np.arange(-300 + 50 * i, -250 + 50 * i) * 1.2345 for i in range(12)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -146,7 +146,7 @@ def test_threads_building_the_power_table_at_once_write_reprs(tmp_path, monkeypa
         sys.setswitchinterval(interval)
     for i, c in enumerate(columns):
         assert _lines(tmp_path / f"{i}.csv") == [repr(v).encode() for v in c.tolist()]
-    assert 0 < _io._POWERS.built.sum() < _io._K_COUNT  # only the decades written
+    assert 0 < _cells._POWERS.built.sum() < _cells._K_COUNT  # only the decades written
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float16])
