@@ -45,6 +45,13 @@ def test_expected_afterpulses_matches_numeric_summation():
     assert a == pytest.approx(0.0293830, abs=5e-7)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+def test_distinct_matches_np_unique(n):
+    # unsorted, with repeats far apart: afterpulse targets of nearby avalanches interleave
+    a = np.random.default_rng(n).integers(0, max(1, n // 3), n)
+    assert np.array_equal(apd._distinct(a), np.unique(a))
+
+
 @pytest.mark.parametrize("dead_time, masked", [(0.0, 0), (0.5e-9, 0), (2e-9, 2), (4.1e-9, 5)])
 def test_expected_afterpulses_under_dead_time_drops_the_masked_gates(dead_time, masked):
     det = DetectorConfig(**TRAP_DET)
