@@ -14,7 +14,8 @@ slice's text.
 
 - An integer array prints its decimal digits, got by multiplying with magic
   constants and shifting (Granlund and Montgomery, PLDI 1994), never by
-  ``//`` or ``%`` on ``uint64``.
+  ``//`` or ``%`` on ``uint64``; only the first four of twenty digits take
+  an exact float64 division.
 - A float array (float16 and float32 widened to float64, as ``.tolist()``
   widens them) prints as its shortest round-trip ``repr``.  The digits come
   from a port of Schubfach to ``uint64`` arrays (R. Giulietti, "The
