@@ -25,6 +25,8 @@ from .network import (
     balanced_design,
     block_response,
     cascade,
+    chain_null_metrics,
+    chain_response,
     design_report,
     metrics_grid,
     null_metrics,
@@ -40,6 +42,7 @@ from .waveform import (
     apply_response,
     synth_avalanche,
     synth_capacitive,
+    synth_record,
 )
 from .apd import (
     ClickProbabilities,
@@ -49,6 +52,7 @@ from .apd import (
     expected_afterpulses,
     expected_click_prob,
     pulse_ratio,
+    renewal_clicks_per_gate,
     simulate,
 )
 from .acquisition import (

@@ -88,13 +88,17 @@ class Coded:
 
 
 def write_csv(path, header, columns) -> None:
-    """Write `header`, then row i holding element i of every column."""
+    """Write `header`, then row i holding element i of every column; the
+    columns must have one length."""
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"{path}: columns differ in length: {lengths}")
     # imported on first use: a process that writes no CSV file does not
     # compile the cell layout when bytecode is not cached
     from ._cells import chars, segments
 
     lone = len(columns) == 1
-    n_rows = min(map(len, columns))
+    n_rows = min(lengths)
     with open(path, "w", newline="") as fh:
         out = fh.buffer  # the text layer only names the encoding
         out.write((",".join(_texts(list(header), len(header) == 1)) + "\r\n").encode(fh.encoding))

@@ -39,6 +39,7 @@ __all__ = [
     "simulate",
     "expected_afterpulses",
     "expected_click_prob",
+    "renewal_clicks_per_gate",
     "pulse_ratio",
     "write_events_csv",
     "read_events_csv",
@@ -469,6 +470,19 @@ def expected_click_prob(det: DetectorConfig, src: SourceConfig) -> ClickProbabil
         p_illuminated=p_primary_ill + correction,
         p_non_illuminated=p_primary_ni + correction,
     )
+
+
+def renewal_clicks_per_gate(det: DetectorConfig, mu: float, dead_time: float) -> float:
+    """Kept clicks per gate of a gate-synchronous source of `mu` photons per
+    gate behind a non-paralyzable dead time: the renewal model p / (1 + k*p).
+
+    p = 1 - exp(-mu * eta) is the per-gate click probability and k the number
+    of whole gates inside the dead time after a click.  Dark counts and
+    afterpulses are left out; afterpulses raise the rate above the model.
+    """
+    p = -math.expm1(-mu * det.eta_gate)
+    k = math.floor(dead_time * det.f_g)
+    return p / (1.0 + k * p)
 
 
 # ---------------------------------------------------------------------------

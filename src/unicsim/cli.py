@@ -273,13 +273,10 @@ def _build_design(net: NetworkConfig):
     return network.balanced_design(design, net.saw)
 
 
-def _chain_responses(net: NetworkConfig, grid) -> network.TwoPortResponse:
-    design = _build_design(net)
-    unic = network.unic_response(design, net.saw, grid)
-    parts = [unic] * net.stages
-    if net.band_stop is not None:
-        parts.append(network.block_response(net.band_stop, grid))
-    return network.cascade(parts)
+def _chain(net: NetworkConfig) -> list:
+    """The readout chain's parts: `stages` balanced interferometers, then the band-stop."""
+    parts = [(_build_design(net), net.saw)] * net.stages
+    return parts if net.band_stop is None else parts + [net.band_stop]
 
 
 def _fine_grid(net: NetworkConfig) -> network.FrequencyGrid:
@@ -319,16 +316,15 @@ def cmd_design(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_spectrum(cfg: ExperimentConfig) -> list[str]:
     net, sp = cfg.network, cfg.network.spectrum
-    f_g = float(net.f_g)
+    chain = _chain(net)
     metrics_grid = network.metrics_grid(step=min(sp.fine_step, 1e3))
-    # the 2e6-point response is dropped before the CSV grids are evaluated
-    metrics = network.null_metrics(_chain_responses(net, metrics_grid), f_g)
+    metrics = network.chain_null_metrics(chain, metrics_grid, float(net.f_g))
 
     written: list[str] = []
     if "csv" in cfg.emit:
         coarse_grid = network.metrics_grid(sp.f_start, sp.f_stop, sp.coarse_step)
         network.write_spectrum_csv(_out(cfg, "spectrum.csv", written), [
-            _chain_responses(net, _fine_grid(net)), _chain_responses(net, coarse_grid)])
+            network.chain_response(chain, _fine_grid(net)), network.chain_response(chain, coarse_grid)])
     if "json" in cfg.emit:
         _io.write_json(_out(cfg, "null_metrics.json", written), {
             "f_null_hz": metrics.f_null, "depth_db": metrics.depth_db,
@@ -343,20 +339,17 @@ def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
     net = cfg.network if wf.filtered else None
     gate_spec = _gate_spec(wf, net)
     f_g = gate_spec.f_g
-    record = waveform.synth_capacitive(gate_spec, wf.duration, wf.sample_rate)
-
     stride = wf.impulse_gate_stride
+    impulse, times = None, ()
     if stride > 0:
+        impulse = _impulse(wf)
         times = np.arange(stride, int(wf.duration * f_g) - 1, stride) * (1.0 / f_g)
-        record = waveform.add_impulses(record, _impulse(wf), times)
-
-    if wf.noise_rms > 0:
-        record = waveform.add_noise(record, wf.noise_rms, cfg.seed)
-
+    response = None
     if net is not None:
         n_pts = waveform.DEFAULT_IR_LENGTH // 2 + 1
-        grid = network.FrequencyGrid(0.0, wf.sample_rate / 2.0, n_pts)
-        record = waveform.apply_response(record, _chain_responses(net, grid))
+        response = network.chain_response(_chain(net), network.FrequencyGrid(0.0, wf.sample_rate / 2.0, n_pts))
+    record = waveform.synth_record(gate_spec, wf.duration, wf.sample_rate, impulse=impulse, times=times,
+                                   noise_rms=wf.noise_rms, seed=cfg.seed, response=response)
 
     written: list[str] = []
     waveform.write_waveform_binary(_out(cfg, "waveform.bin", written), record)

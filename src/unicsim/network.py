@@ -37,7 +37,9 @@ __all__ = [
     "balance_attenuation",
     "balanced_design",
     "cascade",
+    "chain_response",
     "null_metrics",
+    "chain_null_metrics",
     "metrics_grid",
     "design_report",
     "write_design_report",
@@ -49,6 +51,8 @@ __all__ = [
 # Magnitudes below this floor (relative to 1) are treated as numerical zero
 # when converting to dB, so exports stay finite.
 _MAG_FLOOR = 1e-150
+# Grid points evaluated at once: each complex temporary of a block is 1 MB.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -297,7 +301,26 @@ def _notch_values(b: Notch, f: np.ndarray) -> np.ndarray:
     return np.divide(x, out, out=out, where=m)
 
 
-def _block_values(block: BlockSpec, f: np.ndarray) -> np.ndarray:
+def _unic_values(design: UnicDesign, saw: SawBpf, f: np.ndarray) -> np.ndarray:
+    if not isinstance(saw, SawBpf):
+        raise TypeError("saw must be a SawBpf block")
+    if not math.isclose(design.t_g_saw, saw.group_delay, rel_tol=1e-9, abs_tol=1e-15):
+        raise ValueError(
+            f"design t_g_saw {design.t_g_saw!r} does not match saw group_delay {saw.group_delay!r}"
+        )
+    tap = design.coupler_tap
+    pad = 10.0 ** (-design.att_balance_db / 20.0)
+    v = _saw_values(saw, f)
+    np.multiply(tap * pad, v, out=v)
+    v *= _phase(f, design.delta_t)
+    v += 1.0 - tap  # the flat through arm
+    return v
+
+
+def _block_values(block, f: np.ndarray) -> np.ndarray:
+    """Values at `f` of a network block or of a (UnicDesign, SawBpf) interferometer."""
+    if isinstance(block, tuple):
+        return _unic_values(*block, f)
     if isinstance(block, Coupler):
         amp = math.sqrt(block.tap_fraction if block.port == "tap" else 1.0 - block.tap_fraction)
         return np.full(f.shape, amp, dtype=np.complex128)
@@ -317,9 +340,53 @@ def _block_values(block: BlockSpec, f: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown block type {type(block).__name__}")
 
 
+def _blocks(grid: FrequencyGrid):
+    """(slice, frequencies) of each block of _BLOCK grid points, the last one
+    holding the 2 to _BLOCK + 1 points left: numpy rounds an in-place complex
+    product of one-element arrays differently.  The frequencies equal
+    grid.frequencies()[slice]: i * step + f_start with the last point set to
+    f_stop, as np.linspace computes them."""
+    i0 = 0
+    while i0 < grid.n_points:
+        i1 = grid.n_points if grid.n_points - i0 <= _BLOCK + 1 else i0 + _BLOCK
+        f = np.arange(i0, i1, dtype=np.float64)
+        f *= grid.step
+        f += grid.f_start
+        if i1 == grid.n_points:
+            f[-1] = grid.f_stop
+        yield slice(i0, i1), f
+        i0 = i1
+
+
+def _product(factors, out: np.ndarray) -> np.ndarray:
+    """The product of `factors` taken left to right, written into `out`."""
+    if not factors:
+        raise ValueError("a chain requires at least one part")
+    np.copyto(out, factors[0])
+    for v in factors[1:]:
+        out *= v
+    return out
+
+
+def _chain_values(parts, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The cascade of `parts` at `f`, into `out`; equal parts are evaluated once."""
+    values = {part: _block_values(part, f) for part in dict.fromkeys(parts)}
+    return _product([values[part] for part in parts], out)
+
+
+def chain_response(parts, grid: FrequencyGrid) -> TwoPortResponse:
+    """Response of the cascade of `parts` on `grid`, evaluated a block of grid
+    points at a time.  A part is a network block or an interferometer, given
+    as a (UnicDesign, SawBpf) pair as `unic_response` takes them."""
+    values = np.empty(grid.n_points, dtype=np.complex128)
+    for s, f in _blocks(grid):
+        _chain_values(parts, f, values[s])
+    return TwoPortResponse(grid, values)
+
+
 def block_response(block: BlockSpec, grid: FrequencyGrid) -> TwoPortResponse:
     """Two-port response of a single network block on `grid`."""
-    return TwoPortResponse(grid, _block_values(block, grid.frequencies()))
+    return chain_response([block], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +457,7 @@ def unic_response(design: UnicDesign, saw: SawBpf, grid: FrequencyGrid) -> TwoPo
     f_g.  With att_balance_db from `balance_attenuation` the arm amplitudes
     are equal there and the response has a null at f_g.
     """
-    if not isinstance(saw, SawBpf):
-        raise TypeError("saw must be a SawBpf block")
-    if not math.isclose(design.t_g_saw, saw.group_delay, rel_tol=1e-9, abs_tol=1e-15):
-        raise ValueError(
-            f"design t_g_saw {design.t_g_saw!r} does not match saw group_delay {saw.group_delay!r}"
-        )
-    f = grid.frequencies()
-    tap = design.coupler_tap
-    pad = 10.0 ** (-design.att_balance_db / 20.0)
-    v = _saw_values(saw, f)
-    np.multiply(tap * pad, v, out=v)
-    v *= _phase(f, design.delta_t)
-    v += 1.0 - tap  # the flat through arm
-    return TwoPortResponse(grid, v)
+    return chain_response([(design, saw)], grid)
 
 
 def cascade(responses: list[TwoPortResponse]) -> TwoPortResponse:
@@ -414,10 +468,8 @@ def cascade(responses: list[TwoPortResponse]) -> TwoPortResponse:
     for r in responses[1:]:
         if (r.grid.f_start, r.grid.f_stop, r.grid.n_points) != (g0.f_start, g0.f_stop, g0.n_points):
             raise ValueError("cascade requires identical grids")
-    values = responses[0].values.copy()
-    for r in responses[1:]:
-        values *= r.values
-    return TwoPortResponse(g0, values)
+    values = np.empty(g0.n_points, dtype=np.complex128)
+    return TwoPortResponse(g0, _product([r.values for r in responses], values))
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +489,67 @@ def _cross(f0, m0, f1, m1, thr):
 
 
 def _median(a: np.ndarray) -> float:
-    """`np.median` of a non-empty 1-d float array, without the numpy.ma import
-    it makes: the middle value, or the mean (a + b) / 2 of the middle two;
-    NaN if any value is NaN."""
+    """`np.median` of a non-empty 1-d float array, partitioned in place and
+    without the numpy.ma import it makes: the middle value, or the mean
+    (a + b) / 2 of the middle two; NaN if any value is NaN."""
     lo, hi = (a.size - 1) // 2, a.size // 2
-    part = np.partition(a, [lo, hi, -1])
-    if np.isnan(part[-1]):
+    a.partition([lo, hi, -1])
+    if np.isnan(a[-1]):
         return math.nan
-    return float(part[hi]) if lo == hi else float((part[lo] + part[hi]) / 2)
+    return float(a[hi]) if lo == hi else float((a[lo] + a[hi]) / 2)
+
+
+def _null_metrics(grid: FrequencyGrid, f_g: float, blocks) -> NullMetrics:
+    """`null_metrics` of the |H| that `blocks` yields as (frequencies, |H|)
+    of consecutive grid blocks.  Only the background values and the search
+    window around f_g are kept."""
+    if not grid.f_start < f_g < grid.f_stop:
+        raise ValueError("grid does not bracket f_g")
+    if grid.step > 1e3 * (1 + 1e-9):
+        raise ValueError(f"grid too coarse near f_g: step {grid.step:.6g} Hz exceeds 1 kHz")
+    bg_mag = np.empty(grid.n_points)
+    n_bg = 0
+    near_f, near_mag = [], []
+    for f, mag in blocks:
+        off = np.abs(f - f_g)
+        bg = (f >= _BACKGROUND_BAND[0]) & (f <= _BACKGROUND_BAND[1]) & (off > _BACKGROUND_EXCLUDE)
+        k = int(np.count_nonzero(bg))
+        bg_mag[n_bg:n_bg + k] = mag[bg]
+        n_bg += k
+        near = off <= _NULL_SEARCH  # one contiguous run of the grid
+        near_f.append(f[near])
+        near_mag.append(mag[near])
+    if n_bg < 100:
+        raise ValueError("grid does not cover enough of the 0.1-2 GHz background band")
+    background = _median(bg_mag[:n_bg])
+    background_loss_db = -20.0 * math.log10(max(background, _MAG_FLOOR))
+
+    f, mag = np.concatenate(near_f), np.concatenate(near_mag)
+    i_min = int(np.argmin(mag))
+    m_min = float(mag[i_min])
+    depth_db = 20.0 * math.log10(background / max(m_min, background * _MAG_FLOOR))
+    if depth_db < 3.0:
+        raise ValueError("no null found near f_g (dip shallower than 3 dB)")
+
+    width = 0.0
+    thr = background * 10.0 ** (-30.0 / 20.0)
+    if depth_db > 30.0:
+        lo = i_min
+        while lo - 1 >= 0 and mag[lo - 1] < thr:
+            lo -= 1
+        hi = i_min
+        while hi + 1 < mag.size and mag[hi + 1] < thr:
+            hi += 1
+        f_lo = _cross(f[lo - 1], mag[lo - 1], f[lo], mag[lo], thr) if lo > 0 else f[lo]
+        f_hi = _cross(f[hi + 1], mag[hi + 1], f[hi], mag[hi], thr) if hi < mag.size - 1 else f[hi]
+        width = float(f_hi - f_lo)
+
+    return NullMetrics(
+        f_null=float(f[i_min]),
+        depth_db=float(depth_db),
+        width_30db=width,
+        background_loss_db=float(background_loss_db),
+    )
 
 
 def null_metrics(resp: TwoPortResponse, f_g: float) -> NullMetrics:
@@ -455,48 +560,15 @@ def null_metrics(resp: TwoPortResponse, f_g: float) -> NullMetrics:
     is the full width of the contiguous region at least 30 dB below it.
     The grid must bracket f_g with a step no coarser than 1 kHz.
     """
-    grid = resp.grid
-    if not grid.f_start < f_g < grid.f_stop:
-        raise ValueError("grid does not bracket f_g")
-    if grid.step > 1e3 * (1 + 1e-9):
-        raise ValueError(f"grid too coarse near f_g: step {grid.step:.6g} Hz exceeds 1 kHz")
-    f = resp.frequencies()
-    mag = np.abs(resp.values)
+    return _null_metrics(resp.grid, f_g, ((f, np.abs(resp.values[s])) for s, f in _blocks(resp.grid)))
 
-    bg_mask = (f >= _BACKGROUND_BAND[0]) & (f <= _BACKGROUND_BAND[1]) & (np.abs(f - f_g) > _BACKGROUND_EXCLUDE)
-    if bg_mask.sum() < 100:
-        raise ValueError("grid does not cover enough of the 0.1-2 GHz background band")
-    background = _median(mag[bg_mask])
-    background_loss_db = -20.0 * math.log10(max(background, _MAG_FLOOR))
 
-    search = np.nonzero(np.abs(f - f_g) <= _NULL_SEARCH)[0]
-    sub = mag[search]
-    k = int(np.argmin(sub))
-    i_min = int(search[k])
-    m_min = float(mag[i_min])
-    depth_db = 20.0 * math.log10(background / max(m_min, background * _MAG_FLOOR))
-    if depth_db < 3.0:
-        raise ValueError("no null found near f_g (dip shallower than 3 dB)")
-
-    width = 0.0
-    thr = background * 10.0 ** (-30.0 / 20.0)
-    if depth_db > 30.0:
-        lo = i_min
-        while lo - 1 >= search[0] and mag[lo - 1] < thr:
-            lo -= 1
-        hi = i_min
-        while hi + 1 <= search[-1] and mag[hi + 1] < thr:
-            hi += 1
-        f_lo = _cross(f[lo - 1], mag[lo - 1], f[lo], mag[lo], thr) if lo > search[0] else f[lo]
-        f_hi = _cross(f[hi + 1], mag[hi + 1], f[hi], mag[hi], thr) if hi < search[-1] else f[hi]
-        width = float(f_hi - f_lo)
-
-    return NullMetrics(
-        f_null=float(f[i_min]),
-        depth_db=float(depth_db),
-        width_30db=width,
-        background_loss_db=float(background_loss_db),
-    )
+def chain_null_metrics(parts, grid: FrequencyGrid, f_g: float) -> NullMetrics:
+    """`null_metrics` of `chain_response(parts, grid)`, with no complex
+    response held beyond one block of grid points."""
+    out = np.empty(min(_BLOCK + 1, grid.n_points), dtype=np.complex128)
+    return _null_metrics(grid, f_g, ((f, np.abs(_chain_values(parts, f, out[:f.size])))
+                                     for _, f in _blocks(grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ __all__ = [
     "ImpulseSpec",
     "DEFAULT_SAMPLE_RATE",
     "synth_capacitive",
+    "synth_record",
     "synth_avalanche",
     "add_impulses",
     "apply_response",
@@ -42,6 +43,7 @@ DEFAULT_SAMPLE_RATE = 40e9  # 32 samples per 1.25 GHz gate period
 DEFAULT_IR_LENGTH = 1 << 17
 _MAX_SINGLE_FFT = 1 << 22
 _IMPULSE_CHUNK = 1 << 13  # impulse samples placed at once by add_impulses (64 KB per array)
+_SEGMENT = 1 << 17  # samples synthesized at once, and squared at once by Waveform.rms
 
 
 @dataclass
@@ -76,7 +78,11 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
     def rms(self) -> float:
-        return float(np.sqrt(np.mean(self.samples ** 2))) if self.samples.size else 0.0
+        """sqrt(mean(samples**2)), with no squared copy of the record."""
+        n = self.samples.size
+        if n == 0:
+            return 0.0
+        return float(np.sqrt(_sum_squares(self.samples, np.empty(min(n, _SEGMENT))) / n))
 
     def __add__(self, other: "Waveform") -> "Waveform":
         if not isinstance(other, Waveform):
@@ -149,18 +155,22 @@ def _record_length(spec: GateWaveSpec, duration: float, rate: float) -> int:
     return int(round(duration * rate))
 
 
-def synth_capacitive(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_SAMPLE_RATE) -> Waveform:
-    """Synthesize the periodic gate response over `duration` seconds.
+def _sum_squares(s: np.ndarray, scratch: np.ndarray):
+    """np.add.reduce(s ** 2) in numpy's pairwise order: halves split at a
+    multiple of 8 down to leaves that fit `scratch`, each squared into it."""
+    if s.size <= scratch.size:
+        return np.add.reduce(np.square(s, out=scratch[:s.size]))
+    n2 = s.size // 2
+    n2 -= n2 % 8
+    return _sum_squares(s[:n2], scratch) + _sum_squares(s[n2:], scratch)
 
-    At most two records are held at once (three with two or more harmonics):
-    each sine is evaluated in place and the last harmonic reuses `t`.
-    """
-    t = np.arange(_record_length(spec, duration, rate), dtype=np.float64)
-    t /= rate
-    y = np.multiply(2.0 * np.pi * spec.f_g, t)
+
+def _gate(spec: GateWaveSpec, t: np.ndarray, y: np.ndarray, scratch: np.ndarray | None) -> None:
+    """The gate response at times `t` into `y`; each sine is evaluated in
+    place, the last harmonic in `t`, any other in `scratch`."""
+    np.multiply(2.0 * np.pi * spec.f_g, t, out=y)
     np.sin(y, out=y)
     y *= spec.fundamental_amp
-    scratch = np.empty_like(t) if len(spec.harmonics) > 1 else None
     for i, (order, amp, phase) in enumerate(spec.harmonics):
         h = t if i == len(spec.harmonics) - 1 else scratch
         np.multiply(2.0 * np.pi * order * spec.f_g, t, out=h)
@@ -168,7 +178,62 @@ def synth_capacitive(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_
         np.sin(h, out=h)
         h *= amp
         y += h
-    return Waveform(rate, 0.0, y)
+
+
+def _source(spec: GateWaveSpec, rate: float, n: int, impulse: ImpulseSpec | None = None, times=(),
+            noise_rms: float = 0.0, seed: int = 0):
+    """read(i0, i1): samples i0..i1 of the n-sample record that
+    `synth_capacitive`, `add_impulses` and `add_noise` make in turn, computed
+    from global sample indices a segment of up to _SEGMENT samples at a time,
+    in buffers allocated once.  Reads must go forward, as the noise is drawn
+    in order; a read of one segment returns a buffer the next read reuses."""
+    block = min(n, _SEGMENT)
+    ramp = np.arange(block, dtype=np.float64)
+    t, buf = np.empty(block), np.empty(block)
+    scratch = np.empty(block) if len(spec.harmonics) > 1 else None
+    add = None if impulse is None else _impulse_adder(impulse, rate, 0.0, n, times)
+    if noise_rms < 0:
+        raise ValueError("rms must be >= 0")
+    rng = _philox(seed) if noise_rms > 0 else None
+
+    def fill(i0: int, y: np.ndarray) -> None:
+        m = y.size
+        np.add(ramp[:m], i0, out=t[:m])  # the global indices, exact as floats
+        t[:m] /= rate
+        _gate(spec, t[:m], y, scratch if scratch is None else scratch[:m])
+        if add is not None:
+            add(y, i0)
+        if rng is not None:
+            _add_noise(y, rng, noise_rms, t[:m])
+
+    def read(i0: int, i1: int) -> np.ndarray:
+        out = buf[:i1 - i0] if i1 - i0 <= block else np.empty(i1 - i0)
+        for j in range(i0, i1, block):
+            fill(j, out[j - i0:min(j + block, i1) - i0])
+        return out
+
+    return read
+
+
+def synth_capacitive(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_SAMPLE_RATE) -> Waveform:
+    """Synthesize the periodic gate response over `duration` seconds."""
+    n = _record_length(spec, duration, rate)
+    return Waveform(rate, 0.0, _source(spec, rate, n)(0, n))
+
+
+def synth_record(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_SAMPLE_RATE, *,
+                 impulse: ImpulseSpec | None = None, times=(), noise_rms: float = 0.0, seed: int = 0,
+                 response: TwoPortResponse | None = None) -> Waveform:
+    """`synth_capacitive`, then `add_impulses` of `impulse` at `times` if
+    given, then `add_noise`, then `apply_response` of `response` if given,
+    with the same samples.  A filtered record past _MAX_SINGLE_FFT samples
+    is synthesized one 2**17-sample overlap-add segment at a time, so only
+    the output record is held whole."""
+    n = _record_length(spec, duration, rate)
+    if response is not None:
+        _check_coverage(response, rate)
+    read = _source(spec, rate, n, impulse, times, noise_rms, seed)
+    return Waveform(rate, 0.0, read(0, n) if response is None else _filter(read, n, rate, response))
 
 
 def _gaussian(t: np.ndarray, spec: ImpulseSpec) -> np.ndarray:
@@ -191,17 +256,11 @@ def synth_avalanche(spec: ImpulseSpec, rate: float = DEFAULT_SAMPLE_RATE,
     return Waveform(rate, 0.0, _gaussian(t, spec))
 
 
-def add_impulses(w: Waveform, spec: ImpulseSpec, times) -> Waveform:
-    """Add one Gaussian impulse (shape from `spec`) centered at each time.
-
-    Impulse k covers the samples int(c_k) - half .. int(c_k) + half that lie
-    in the record, c_k being its time in samples; where windows overlap the
-    impulses add in the order given.
-    """
-    _check_resolvable(spec.fwhm, w.sample_rate)
-    y = w.samples.copy()
-    n = y.size
-    half = max(1, int(round(6.0 * spec.fwhm * w.sample_rate)))
+def _impulse_adder(spec: ImpulseSpec, rate: float, t0: float, n: int, times):
+    """add(y, i0): add to `y`, samples i0.. of an n-sample record starting at
+    t0, its part of the impulses that `add_impulses` places at `times`."""
+    _check_resolvable(spec.fwhm, rate)
+    half = max(1, int(round(6.0 * spec.fwhm * rate)))
     coeff = -4.0 * math.log(2.0) / spec.fwhm ** 2
     times = np.asarray(times, dtype=np.float64).ravel()
     if not np.all(np.isfinite(times)):
@@ -209,21 +268,40 @@ def add_impulses(w: Waveform, spec: ImpulseSpec, times) -> Waveform:
     # int(c) held as a float, as are the sample indices, so that no ufunc
     # casts (a casting ufunc's buffers raised the waveform peak RSS); a
     # centre further than half + 2 samples outside the record adds nothing
-    centres = np.trunc(np.clip((times - w.t0) * w.sample_rate, -half - 2.0, n + half + 2.0))
+    centres = np.trunc(np.clip((times - t0) * rate, -half - 2.0, n + half + 2.0))
     offsets = np.arange(-half, half + 1, dtype=np.float64)
     step = max(1, _IMPULSE_CHUNK // offsets.size)
-    for k in range(0, times.size, step):
-        idx = np.add.outer(centres[k:k + step], offsets)
-        inside = (idx >= 0.0) & (idx < n)
-        t_rel = idx / w.sample_rate
-        t_rel += w.t0
-        t_rel -= times[k:k + step, None]
-        v = t_rel[inside]  # peak * exp(coeff * t_rel**2), in place
-        np.square(v, out=v)
-        v *= coeff
-        np.exp(v, out=v)
-        v *= spec.peak
-        np.add.at(y, idx[inside].astype(np.intp), v)
+
+    def add(y: np.ndarray, i0: int) -> None:
+        i1 = i0 + y.size
+        touching = np.flatnonzero((centres >= i0 - half) & (centres < i1 + half))
+        for k in range(0, touching.size, step):
+            chunk = touching[k:k + step]
+            idx = np.add.outer(centres[chunk], offsets)
+            inside = (idx >= i0) & (idx < i1)
+            t_rel = idx / rate
+            t_rel += t0
+            t_rel -= times[chunk, None]
+            v = t_rel[inside]  # peak * exp(coeff * t_rel**2), in place
+            np.square(v, out=v)
+            v *= coeff
+            np.exp(v, out=v)
+            v *= spec.peak
+            idx -= i0
+            np.add.at(y, idx[inside].astype(np.intp), v)
+
+    return add
+
+
+def add_impulses(w: Waveform, spec: ImpulseSpec, times) -> Waveform:
+    """Add one Gaussian impulse (shape from `spec`) centered at each time.
+
+    Impulse k covers the samples int(c_k) - half .. int(c_k) + half that lie
+    in the record, c_k being its time in samples; where windows overlap the
+    impulses add in the order given.
+    """
+    y = w.samples.copy()
+    _impulse_adder(spec, w.sample_rate, w.t0, y.size, times)(y, 0)
     return Waveform(w.sample_rate, w.t0, y)
 
 
@@ -249,19 +327,35 @@ def _check_coverage(resp: TwoPortResponse, rate: float) -> None:
         )
 
 
-def _overlap_add_circular(x: np.ndarray, h: np.ndarray, block: int) -> np.ndarray:
-    """Circular convolution of x with h via overlap-add and tail wrap."""
-    n = x.size
+def _overlap_add_circular(read, n: int, h: np.ndarray, block: int) -> np.ndarray:
+    """Circular convolution with h, via overlap-add and tail wrap, of the n
+    samples that read(i0, i1) returns a segment at a time."""
     L = h.size
     nfft = _next_pow2(block + L - 1)
     hf = np.fft.rfft(h, nfft)
     y = np.zeros(n + L - 1)
     for start in range(0, n, block):
-        seg = x[start:start + block]
+        seg = read(start, min(start + block, n))
         yk = np.fft.irfft(np.fft.rfft(seg, nfft) * hf, nfft)[: seg.size + L - 1]
         y[start:start + yk.size] += yk
     y[: L - 1] += y[n:]  # wrap the linear-convolution tail: circular semantics
     return y[:n]
+
+
+def _filter(read, n: int, rate: float, resp: TwoPortResponse, ir_length: int | None = None,
+            block_size: int | None = None) -> np.ndarray:
+    """The n > 0 samples that read(i0, i1) returns, filtered as `apply_response` describes."""
+    L = ir_length if ir_length is not None else min(DEFAULT_IR_LENGTH, _next_pow2(n))
+    if n <= L and block_size is None:
+        # Short record: multiply on its own bin grid, no intermediate FIR.
+        bins = np.arange(n // 2 + 1) * (rate / n)
+        return np.fft.irfft(np.fft.rfft(read(0, n)) * _interp_response(resp, bins), n)
+
+    bins = np.arange(L // 2 + 1) * (rate / L)
+    h = np.fft.irfft(_interp_response(resp, bins), L)
+    if block_size is None and n <= _MAX_SINGLE_FFT:
+        return np.fft.irfft(np.fft.rfft(read(0, n)) * np.fft.rfft(h, n), n)
+    return _overlap_add_circular(read, n, h, L if block_size is None else int(block_size))
 
 
 def apply_response(w: Waveform, resp: TwoPortResponse, *, ir_length: int | None = None,
@@ -277,26 +371,21 @@ def apply_response(w: Waveform, resp: TwoPortResponse, *, ir_length: int | None 
     """
     _check_coverage(resp, w.sample_rate)
     x = w.samples
-    n = x.size
-    if n == 0:
+    if x.size == 0:
         return Waveform(w.sample_rate, w.t0, x)
-    L = ir_length if ir_length is not None else min(DEFAULT_IR_LENGTH, _next_pow2(n))
+    return Waveform(w.sample_rate, w.t0,
+                    _filter(lambda i0, i1: x[i0:i1], x.size, w.sample_rate, resp, ir_length, block_size))
 
-    if n <= L and block_size is None:
-        # Short record: multiply on its own bin grid, no intermediate FIR.
-        bins = np.arange(n // 2 + 1) * (w.sample_rate / n)
-        y = np.fft.irfft(np.fft.rfft(x) * _interp_response(resp, bins), n)
-        return Waveform(w.sample_rate, w.t0, y)
 
-    bins = np.arange(L // 2 + 1) * (w.sample_rate / L)
-    h = np.fft.irfft(_interp_response(resp, bins), L)
-    if block_size is not None:
-        y = _overlap_add_circular(x, h, int(block_size))
-    elif n <= _MAX_SINGLE_FFT:
-        y = np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(h, n), n)
-    else:
-        y = _overlap_add_circular(x, h, L)
-    return Waveform(w.sample_rate, w.t0, y)
+def _philox(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+
+
+def _add_noise(y: np.ndarray, rng: np.random.Generator, rms: float, z: np.ndarray) -> None:
+    """Add rms * z to `y`, z drawn into `z` as rng.normal(0.0, rms) draws it."""
+    rng.standard_normal(out=z)
+    z *= rms
+    y += z
 
 
 def add_noise(w: Waveform, rms: float, seed: int) -> Waveform:
@@ -305,8 +394,9 @@ def add_noise(w: Waveform, rms: float, seed: int) -> Waveform:
         raise ValueError("rms must be >= 0")
     if rms == 0:
         return Waveform(w.sample_rate, w.t0, w.samples)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    return Waveform(w.sample_rate, w.t0, w.samples + rng.normal(0.0, rms, w.samples.size))
+    y = w.samples.copy()
+    _add_noise(y, _philox(seed), rms, np.empty_like(y))
+    return Waveform(w.sample_rate, w.t0, y)
 
 
 # ---------------------------------------------------------------------------

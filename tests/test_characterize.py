@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from unicsim import (
     expected_afterpulses,
     get_preset,
     net_efficiency,
+    renewal_clicks_per_gate,
     run_characterization,
 )
 from unicsim.apd import _CHUNK
@@ -266,6 +268,31 @@ def test_count_rate_vs_flux_charge_recovery():
     q = charge_from_photocurrent(p.photocurrent_a, p.rate_hz)
     sigma = 0.3 * 3.8e-14 / math.sqrt(n_clicks)
     assert q == pytest.approx(3.8e-14, abs=3 * sigma)
+
+
+@pytest.mark.parametrize("dead_time, flux", [
+    (2e-9, 3.0),     # the README's dead time: two whole gates hidden, about 303 MC/s
+    (0.4e-9, 3.87),  # under one gate period, at the paper's 700 MC/s
+], ids=["2ns", "0.4ns"])
+def test_count_rate_vs_flux_matches_renewal_oracle(dead_time, flux):
+    # no traps and no dark counts: the renewal model is then the whole process
+    det = replace(get_preset("apd1_minus30C"), traps_per_avalanche=0.0, dark_per_gate=0.0)
+    acq = AcquisitionConfig(tdc=TdcSpec(resolution=1e-12, dead_time=dead_time))
+    n = 12_500_000
+    point = count_rate_vs_flux(det, acq, [flux], n, seed=2028).points[0]
+    clicks = point.rate_hz / det.f_g * n
+    model = renewal_clicks_per_gate(det, flux, dead_time)
+    p, k = -math.expm1(-flux * det.eta_gate), math.floor(dead_time * det.f_g)
+    sigma = math.sqrt(n * p * (1 - p) / (1 + k * p) ** 3)  # renewal counting noise
+    assert abs(clicks - n * model) <= 3 * sigma
+
+
+def test_renewal_clicks_per_gate_arithmetic():
+    det = DetectorConfig(f_g=1.25e9, eta_gate=0.25)
+    p = 1 - math.exp(-0.25)
+    assert renewal_clicks_per_gate(det, 1.0, 0.0) == pytest.approx(p, rel=1e-12)
+    assert renewal_clicks_per_gate(det, 1.0, 0.79e-9) == pytest.approx(p, rel=1e-12)
+    assert renewal_clicks_per_gate(det, 1.0, 2e-9) == pytest.approx(p / (1 + 2 * p), rel=1e-12)
 
 
 def test_count_rate_vs_flux_validation():

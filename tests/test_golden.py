@@ -101,26 +101,31 @@ def test_outputs_match_recorded_sha256(tmp_path, command):
 
 
 # Long waveform records, recorded like GOLDEN: 2e5 samples take the FIR
-# single-FFT path (2**17 < n <= 2**22), 4.24e6 samples the overlap-add path.
+# single-FFT path (2**17 < n <= 2**22), 4.24e6 samples the overlap-add path,
+# which synthesizes the record, impulses and noise one segment at a time.
 LONG_RECORDS = {
-    "fir single FFT": (5e-6, ["csv", "json"], {
+    "fir single FFT": ({"duration": 5e-6}, ["csv", "json"], {
         "waveform.bin":
             "06455117634616597c87e998d76ac55a4d60d8a44a61474a7e58a6ff23afc0a0",
         "waveform.csv":
             "7472983906f8f237a07df5ecb38b60fbcb2de113c9a76c49c487ef0615ac3446",
     }),
-    "overlap-add": (1.06e-4, ["json"], {
+    "overlap-add": ({"duration": 1.06e-4}, ["json"], {
         "waveform.bin":
             "509e8dbf9e95144fb21f5f91d79e1f5024ed1aee1a6ac5c2bb91ea71d88fb15d",
+    }),
+    "overlap-add with noise": ({"duration": 1.06e-4, "noise_rms": 1e-4}, ["json"], {
+        "waveform.bin":
+            "f0df9120aae84f205130d464942751fe419e444694ef16e285c2860885ed1a96",
     }),
 }
 
 
 @pytest.mark.parametrize("name", list(LONG_RECORDS))
 def test_long_waveform_matches_recorded_sha256(tmp_path, name):
-    duration, emit, golden = LONG_RECORDS[name]
+    overrides, emit, golden = LONG_RECORDS[name]
     config = copy.deepcopy(CONFIG)
-    config["waveform"]["duration"] = duration
+    config["waveform"].update(overrides)
     config["emit"] = emit
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))

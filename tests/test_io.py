@@ -83,6 +83,12 @@ def test_write_csv_one_column_quotes_as_csv_writer(tmp_path, cells):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_write_csv_rejects_columns_of_different_lengths(tmp_path):
+    with pytest.raises(ValueError, match=r"columns differ in length: \[3, 1\]"):
+        _io.write_csv(tmp_path / "short.csv", ["a", "b"], [[1, 2, 3], np.array([4.0])])
+    assert not (tmp_path / "short.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # Floats print as repr, integers as %d
 # ---------------------------------------------------------------------------

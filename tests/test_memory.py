@@ -81,10 +81,35 @@ def test_write_waveform_binary_copies_no_record(tmp_path):
     assert peak < 0.1 * w.samples.nbytes
 
 
-def test_chain_evaluation_holds_three_complex_arrays():
+def test_chain_evaluation_holds_one_complex_array():
     net = cli.parse("spectrum", copy.deepcopy(CONFIG)).network  # two stages and a band-stop
     grid = network.metrics_grid(1e9, 2e9, 1e3)  # 1e6 + 1 points
-    resp, peak = _traced_peak(cli._chain_responses, net, grid)
-    # the interferometer, the band-stop and their product; the frequencies
-    # and float scratch of one block are freed before the product is made
-    assert peak <= 3.25 * resp.values.nbytes
+    resp, peak = _traced_peak(network.chain_response, cli._chain(net), grid)
+    # the response, and the part values and scratch of one 2**16-point block
+    # (eight complex arrays of a block)
+    assert peak <= resp.values.nbytes + 8 * (16 << 16)
+
+
+def test_streamed_waveform_holds_one_output_record(tmp_path):
+    raw = copy.deepcopy(CONFIG)
+    raw["waveform"]["duration"] = 1.06e-4  # 4.24e6 samples: the overlap-add path
+    raw.update(emit=["json"], output_dir=str(tmp_path))
+    cfg = cli.parse("waveform", raw)
+    _, peak = _traced_peak(cli.cmd_waveform, cfg)  # synthesis, filter, write and rms
+    record = 8 * 4_240_000
+    segment = 8 << 17  # a 2**17-sample segment
+    # the output record with its overlap-add tail, then a budget that does not
+    # grow with the record: the three segment buffers of the synthesis, the
+    # chain response, the impulse response, its spectrum and one segment's
+    # FFT temporaries (about 15 segments)
+    assert peak <= record + 20 * segment
+
+
+def test_spectrum_metrics_hold_two_float_arrays(tmp_path):
+    raw = copy.deepcopy(CONFIG)
+    raw.update(emit=["json"], output_dir=str(tmp_path))
+    cfg = cli.parse("spectrum", raw)
+    _, peak = _traced_peak(cli.cmd_spectrum, cfg)
+    n = network.metrics_grid(step=cfg.network.spectrum.fine_step).n_points  # 2e6 + 1 points
+    # the background |H| values, filled a block at a time, and one block's temporaries
+    assert peak <= 2 * 8 * n

@@ -23,9 +23,10 @@ from unicsim import (
     solve_unic_delay,
     unic_response,
 )
+from unicsim import network
 from unicsim.network import read_spectrum_csv, write_spectrum_csv
 
-from conftest import F_G, T_G_SAW
+from conftest import F_G, T_G_SAW, chain_response
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +417,58 @@ def test_unic_and_cascade_equal_whole_array_reference(design, saw, grid):
     assert resp.values.tobytes() == unic.tobytes()
     chain = cascade([resp, resp, block_response(notch, grid)])
     assert chain.values.tobytes() == (unic * unic * _reference_notch(notch, f)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Block evaluation: the same values whatever the block
+# ---------------------------------------------------------------------------
+
+BLOCK_GRIDS = [
+    FrequencyGrid(0.0, 5e9, 2),
+    FrequencyGrid(0.0, 2.5e9, 3 * network._BLOCK + 1),  # the endpoint joins the last whole block
+    FrequencyGrid(0.0, 2.5e9, 3 * network._BLOCK + 2),  # the last block holds two points
+    FrequencyGrid(0.0, 2.5e9, 2 * network._BLOCK),
+    FrequencyGrid(1.2e9 + 0.1, 1.3e9 - 0.3, 100_003),
+    metrics_grid(),
+]
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS,
+                         ids=["n=2", "endpoint joined", "endpoint pair", "whole blocks", "odd", "metrics"])
+def test_grid_blocks_equal_linspace_slices(grid):
+    want = np.linspace(grid.f_start, grid.f_stop, grid.n_points)
+    slices = []
+    for s, f in network._blocks(grid):
+        assert f.tobytes() == want[s].tobytes()
+        slices.append(s)
+    assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
+    assert slices[-1].stop == grid.n_points
+    assert all(2 <= s.stop - s.start <= network._BLOCK + 1 for s in slices)
+
+
+def test_grid_blocks_equal_linspace_slices_on_random_grids(monkeypatch):
+    monkeypatch.setattr(network, "_BLOCK", 7)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        f_start = float(rng.choice([0.0, rng.uniform(0.0, 3e9)]))
+        grid = FrequencyGrid(f_start, f_start + rng.uniform(1e-3, 3e9), int(rng.integers(2, 60)))
+        want = np.linspace(grid.f_start, grid.f_stop, grid.n_points)
+        assert np.concatenate([f for _, f in network._blocks(grid)]).tobytes() == want.tobytes()
+
+
+def test_chain_equals_the_cascade_of_whole_responses_at_any_block(monkeypatch, design, saw):
+    grid = FrequencyGrid(1.19e9, 1.31e9, 120_001)  # 1 kHz steps, a background band either side
+    parts = [(design, saw), (design, saw), Notch(f_center=2.5e9, depth=10.0, width_10db=1e8)]
+    whole = chain_response(design, saw, grid)
+    metrics = null_metrics(whole, F_G)
+    # 1000 and 120_000 leave one point over: it must not be a block of its own
+    for block in (network._BLOCK, 1000, 129, 120_000):
+        monkeypatch.setattr(network, "_BLOCK", block)
+        assert network.chain_response(parts, grid).values.tobytes() == whole.values.tobytes()
+        assert network.chain_null_metrics(parts, grid, F_G) == metrics
+        assert null_metrics(whole, F_G) == metrics
+
+
+def test_chain_requires_a_part():
+    with pytest.raises(ValueError, match="at least one part"):
+        network.chain_response([], FrequencyGrid(0.0, 1.0, 8))

@@ -17,6 +17,7 @@ from unicsim import (
     metrics_grid,
     synth_avalanche,
     synth_capacitive,
+    synth_record,
     unic_response,
 )
 from unicsim import waveform
@@ -312,6 +313,94 @@ def test_add_noise_negative_rms_rejected():
     w = Waveform(RATE, 0.0, np.zeros(16))
     with pytest.raises(ValueError):
         add_noise(w, -1.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Segment by segment: the same samples as the whole-record calls
+# ---------------------------------------------------------------------------
+
+GATE_SPECS = [GateWaveSpec(F_G, 0.42), GateWaveSpec(F_G, 0.42, ((2, 0.084, 0.0),)),
+              GateWaveSpec(F_G, 0.42, ((2, 0.084, 0.3), (3, 0.02, -1.0)))]
+IMPULSE = ImpulseSpec(fwhm=150e-12, peak=1e-3)
+N_SEGMENTED = 20_001  # 1000-sample segments, the last one a single sample
+
+
+def _synth_reference(spec, n):
+    """The gate response computed on the whole record at once."""
+    t = np.arange(n, dtype=np.float64) / RATE
+    y = spec.fundamental_amp * np.sin(2.0 * np.pi * spec.f_g * t)
+    for order, amp, phase in spec.harmonics:
+        y += amp * np.sin(2.0 * np.pi * order * spec.f_g * t + phase)
+    return y
+
+
+def _philox_normal(seed, rms, n):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).normal(0.0, rms, n)
+
+
+@pytest.mark.parametrize("segment", [1000, waveform._SEGMENT])
+@pytest.mark.parametrize("spec", GATE_SPECS, ids=["fundamental", "one harmonic", "two harmonics"])
+def test_synth_capacitive_by_segment_equals_whole_record(spec, segment, monkeypatch):
+    monkeypatch.setattr(waveform, "_SEGMENT", segment)
+    w = synth_capacitive(spec, N_SEGMENTED / RATE, RATE)
+    assert w.samples.tobytes() == _synth_reference(spec, N_SEGMENTED).tobytes()
+
+
+@pytest.mark.parametrize("case", ["straddling", "overlapping unsorted", "edges"])
+def test_impulses_by_segment_equal_whole_record_impulses(case, monkeypatch):
+    monkeypatch.setattr(waveform, "_SEGMENT", 1000)
+    rng = np.random.default_rng(12)
+    span = N_SEGMENTED / RATE
+    times = {
+        # each 73-sample window cut by a segment edge at its own offset; the last by the record end
+        "straddling": (np.arange(1000, 20_001, 1000) + np.arange(-38, 39, 4)) / RATE,
+        "overlapping unsorted": rng.uniform(-0.5e-9, span + 0.5e-9, 3000),
+        "edges": np.array([-2e-9, -1e-12, 0.0, 1e-12, span - 1e-12, span, span + 1e-12, span + 2e-9, 1e6]),
+    }[case]
+    spec = GATE_SPECS[1]
+    want = _add_impulses_loop(Waveform(RATE, 0.0, _synth_reference(spec, N_SEGMENTED)), IMPULSE, times)
+    got = synth_record(spec, span, RATE, impulse=IMPULSE, times=times)
+    assert got.samples.tobytes() == want.tobytes()
+
+
+def test_noise_by_segment_equals_one_normal_call(monkeypatch):
+    monkeypatch.setattr(waveform, "_SEGMENT", 1000)
+    spec = GATE_SPECS[1]
+    want = _synth_reference(spec, N_SEGMENTED) + _philox_normal(9, 1e-3, N_SEGMENTED)
+    got = synth_record(spec, N_SEGMENTED / RATE, RATE, noise_rms=1e-3, seed=9)
+    assert got.samples.tobytes() == want.tobytes()
+    w = Waveform(RATE, 0.0, _synth_reference(spec, N_SEGMENTED))
+    assert add_noise(w, 1e-3, 9).samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, max_single_fft", [
+    (1 << 16, waveform._MAX_SINGLE_FFT),   # short record: its own bin grid
+    (200_001, waveform._MAX_SINGLE_FFT),   # one FFT with the sampled impulse response
+    (300_001, 1 << 17),                    # overlap-add segments of 2**17 samples
+], ids=["short", "single FFT", "overlap-add"])
+def test_synth_record_equals_the_four_whole_record_calls(n, max_single_fft, saw, design, monkeypatch):
+    monkeypatch.setattr(waveform, "_MAX_SINGLE_FFT", max_single_fft)
+    spec = GATE_SPECS[2]
+    resp = chain_response(design, saw, record_bin_grid(RATE, 1 << 17))
+    times = np.random.default_rng(5).uniform(0.0, n / RATE, 200)
+    w = add_noise(add_impulses(synth_capacitive(spec, n / RATE, RATE), IMPULSE, times), 1e-4, 3)
+    want = apply_response(w, resp).samples
+    got = synth_record(spec, n / RATE, RATE, impulse=IMPULSE, times=times, noise_rms=1e-4, seed=3,
+                       response=resp)
+    assert got.samples.tobytes() == want.tobytes()
+
+
+RMS_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 8191, 65_535, 65_536, 65_543, 131_071, 131_073,
+             262_151, 1_000_003, 2_097_159]
+
+
+@pytest.mark.parametrize("leaf", [128, 1000, waveform._SEGMENT])
+def test_rms_equals_numpys_mean_of_squares(leaf, monkeypatch):
+    monkeypatch.setattr(waveform, "_SEGMENT", leaf)
+    rng = np.random.default_rng(8)
+    for n in RMS_SIZES:
+        s = rng.standard_normal(n) * 1e-3
+        assert Waveform(RATE, 0.0, s).rms() == float(np.sqrt(np.mean(s ** 2))), n
 
 
 # ---------------------------------------------------------------------------
