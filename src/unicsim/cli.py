@@ -348,14 +348,20 @@ def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
     if net is not None:
         n_pts = waveform.DEFAULT_IR_LENGTH // 2 + 1
         response = network.chain_response(_chain(net), network.FrequencyGrid(0.0, wf.sample_rate / 2.0, n_pts))
-    record = waveform.synth_record(gate_spec, wf.duration, wf.sample_rate, impulse=impulse, times=times,
-                                   noise_rms=wf.noise_rms, seed=cfg.seed, response=response)
+    # the record of synth_record, streamed into waveform.bin a piece at a
+    # time and read back a slice at a time: no record-sized array is held
+    n, pieces = waveform._record(gate_spec, wf.duration, wf.sample_rate, impulse, times, wf.noise_rms,
+                                 cfg.seed, response)
 
     written: list[str] = []
-    waveform.write_waveform_binary(_out(cfg, "waveform.bin", written), record)
-    if "csv" in cfg.emit:
-        waveform.write_waveform_csv(_out(cfg, "waveform.csv", written), record)
-    print(f"waveform: n_samples={len(record)} rms_v={record.rms()!r}")
+    path = _out(cfg, "waveform.bin", written)
+    waveform._write_binary(path, wf.sample_rate, 0.0, n, pieces)
+    with open(path, "rb") as fh:
+        read = waveform._binary_reader(fh)
+        if "csv" in cfg.emit:
+            waveform._write_csv(_out(cfg, "waveform.csv", written), wf.sample_rate, 0.0, n, read)
+        rms = waveform._rms(n, read)
+    print(f"waveform: n_samples={n} rms_v={rms!r}")
     return written
 
 

@@ -259,49 +259,66 @@ class BalanceInfeasibleError(ValueError):
 # Block evaluation
 # ---------------------------------------------------------------------------
 
-def _phase(f: np.ndarray, t: float) -> np.ndarray:
-    """exp(-2j*pi*f*t), computed in one complex buffer."""
-    v = np.multiply(-2j * np.pi, f)
-    v *= t
-    return np.exp(v, out=v)
+def _phase(f: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
+    """exp(-2j*pi*f*t), computed in `out`."""
+    np.multiply(-2j * np.pi, f, out=out)
+    out *= t
+    return np.exp(out, out=out)
 
 
-def _saw_values(b: SawBpf, f: np.ndarray) -> np.ndarray:
+def _scratch(size: int):
+    """view(m): scratch of m <= size points for the part evaluators below:
+    floats x and y, two bool masks, and a complex z that holds the memory of
+    x and y, so an evaluator writes z only once done with x and y."""
+    z = np.empty(size, dtype=np.complex128)
+    masks = np.empty((2, size), dtype=bool)
+
+    def view(m: int) -> tuple:
+        w = z[:m].view(np.float64)
+        return w[:m], w[m:], masks[0, :m], masks[1, :m], z[:m]
+
+    return view
+
+
+def _saw_values(b: SawBpf, f: np.ndarray, out: np.ndarray, scratch: tuple) -> np.ndarray:
+    x, y, off, stop, _ = scratch
     # 3-dB width of the order-4 band-pass that puts the -20 dB points
     # passband_20db apart: x_20 = 99**(1/8).
     b3 = b.passband_20db / 99.0 ** 0.125
-    x = np.multiply(f, f)
+    np.multiply(f, f, out=x)
     x -= b.f_center * b.f_center
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(x, np.multiply(f, b3), out=x)
-        np.copyto(x, np.inf, where=~(f > 0))
-        stop = ~np.isfinite(x)
+        np.divide(x, np.multiply(f, b3, out=y), out=x)
+        np.copyto(x, np.inf, where=np.invert(np.greater(f, 0, out=off), out=off))
+        np.invert(np.isfinite(x, out=stop), out=stop)
         mag = np.power(x, 8, out=x)
         mag += 1.0
         np.sqrt(mag, out=mag)
         np.divide(10.0 ** (-b.insertion_loss / 20.0), mag, out=mag)
-    mag[stop] = 0.0
-    v = _phase(f, b.group_delay)
+    np.copyto(mag, 0.0, where=stop)
+    v = _phase(f, b.group_delay, out)
     return np.multiply(mag, v, out=v)
 
 
-def _notch_values(b: Notch, f: np.ndarray) -> np.ndarray:
+def _notch_values(b: Notch, f: np.ndarray, out: np.ndarray, scratch: tuple) -> np.ndarray:
+    x, y, m, pos, _ = scratch
     x_edge = 1.0 / math.sqrt(10.0 ** (b.depth / 10.0) - 1.0)
     q = x_edge * b.f_center / b.width_10db
-    x = np.multiply(f, f)
+    np.multiply(f, f, out=x)
     x -= b.f_center * b.f_center
     x *= q
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(x, np.multiply(f, b.f_center), out=x)
-    m = np.isfinite(x)
-    m &= f > 0
-    out = np.ones(f.shape, dtype=np.complex128)
+        np.divide(x, np.multiply(f, b.f_center, out=y), out=x)
+    np.isfinite(x, out=m)
+    m &= np.greater(f, 0, out=pos)
+    out.fill(1.0)
     # causal RLC phase: lag above, lead below f_center
     np.subtract(x, 1j, out=out, where=m)
     return np.divide(x, out, out=out, where=m)
 
 
-def _unic_values(design: UnicDesign, saw: SawBpf, f: np.ndarray) -> np.ndarray:
+def _unic_values(design: UnicDesign, saw: SawBpf, f: np.ndarray, out: np.ndarray,
+                 scratch: tuple) -> np.ndarray:
     if not isinstance(saw, SawBpf):
         raise TypeError("saw must be a SawBpf block")
     if not math.isclose(design.t_g_saw, saw.group_delay, rel_tol=1e-9, abs_tol=1e-15):
@@ -310,33 +327,35 @@ def _unic_values(design: UnicDesign, saw: SawBpf, f: np.ndarray) -> np.ndarray:
         )
     tap = design.coupler_tap
     pad = 10.0 ** (-design.att_balance_db / 20.0)
-    v = _saw_values(saw, f)
+    v = _saw_values(saw, f, out, scratch)
     np.multiply(tap * pad, v, out=v)
-    v *= _phase(f, design.delta_t)
+    v *= _phase(f, design.delta_t, scratch[4])
     v += 1.0 - tap  # the flat through arm
     return v
 
 
-def _block_values(block, f: np.ndarray) -> np.ndarray:
-    """Values at `f` of a network block or of a (UnicDesign, SawBpf) interferometer."""
+def _block_values(block, f: np.ndarray, out: np.ndarray, scratch: tuple) -> np.ndarray:
+    """Values at `f`, written into `out`, of a network block or of a
+    (UnicDesign, SawBpf) interferometer."""
     if isinstance(block, tuple):
-        return _unic_values(*block, f)
+        return _unic_values(*block, f, out, scratch)
     if isinstance(block, Coupler):
-        amp = math.sqrt(block.tap_fraction if block.port == "tap" else 1.0 - block.tap_fraction)
-        return np.full(f.shape, amp, dtype=np.complex128)
+        out.fill(math.sqrt(block.tap_fraction if block.port == "tap" else 1.0 - block.tap_fraction))
+        return out
     if isinstance(block, Attenuator):
-        return np.full(f.shape, 10.0 ** (-block.loss / 20.0), dtype=np.complex128)
+        out.fill(10.0 ** (-block.loss / 20.0))
+        return out
     if isinstance(block, Delay):
-        return _phase(f, block.t)
+        return _phase(f, block.t, out)
     if isinstance(block, SawBpf):
-        return _saw_values(block, f)
+        return _saw_values(block, f, out, scratch)
     if isinstance(block, Amplifier):
-        v = np.multiply(1j, f)
-        v /= block.bandwidth
-        v += 1.0
-        return np.divide(10.0 ** (block.gain / 20.0), v, out=v)
+        np.multiply(1j, f, out=out)
+        out /= block.bandwidth
+        out += 1.0
+        return np.divide(10.0 ** (block.gain / 20.0), out, out=out)
     if isinstance(block, Notch):
-        return _notch_values(block, f)
+        return _notch_values(block, f, out, scratch)
     raise TypeError(f"unknown block type {type(block).__name__}")
 
 
@@ -368,10 +387,21 @@ def _product(factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chain_values(parts, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The cascade of `parts` at `f`, into `out`; equal parts are evaluated once."""
-    values = {part: _block_values(part, f) for part in dict.fromkeys(parts)}
-    return _product([values[part] for part in parts], out)
+def _chain_values(parts, size: int):
+    """values(f, out): the cascade of `parts` at the at most `size`
+    frequencies `f`, written into `out`.  Equal parts are evaluated once per
+    call, each into its own buffer; those buffers and the scratch are
+    allocated here, once."""
+    distinct = list(dict.fromkeys(parts))
+    buffers = [np.empty(size, dtype=np.complex128) for _ in distinct]
+    scratch = _scratch(size)
+
+    def values(f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        s = scratch(f.size)
+        v = {part: _block_values(part, f, b[:f.size], s) for part, b in zip(distinct, buffers)}
+        return _product([v[part] for part in parts], out)
+
+    return values
 
 
 def chain_response(parts, grid: FrequencyGrid) -> TwoPortResponse:
@@ -379,8 +409,9 @@ def chain_response(parts, grid: FrequencyGrid) -> TwoPortResponse:
     points at a time.  A part is a network block or an interferometer, given
     as a (UnicDesign, SawBpf) pair as `unic_response` takes them."""
     values = np.empty(grid.n_points, dtype=np.complex128)
+    chain = _chain_values(parts, min(grid.n_points, _BLOCK + 1))
     for s, f in _blocks(grid):
-        _chain_values(parts, f, values[s])
+        chain(f, values[s])
     return TwoPortResponse(grid, values)
 
 
@@ -424,7 +455,7 @@ def solve_unic_delay(t_g_saw: float, f_g: float, coupler_tap: float = 0.9) -> Un
 def _arm_amplitudes(design: UnicDesign, saw: SawBpf) -> tuple[float, float]:
     """(filtered-arm amplitude before the balance pad, through-arm amplitude) at f_g."""
     f_g = np.asarray([design.f_g])
-    saw_mag = float(np.abs(_saw_values(saw, f_g))[0])
+    saw_mag = float(np.abs(_saw_values(saw, f_g, np.empty(1, dtype=np.complex128), _scratch(1)(1)))[0])
     return design.coupler_tap * saw_mag, 1.0 - design.coupler_tap
 
 
@@ -566,9 +597,14 @@ def null_metrics(resp: TwoPortResponse, f_g: float) -> NullMetrics:
 def chain_null_metrics(parts, grid: FrequencyGrid, f_g: float) -> NullMetrics:
     """`null_metrics` of `chain_response(parts, grid)`, with no complex
     response held beyond one block of grid points."""
-    out = np.empty(min(_BLOCK + 1, grid.n_points), dtype=np.complex128)
-    return _null_metrics(grid, f_g, ((f, np.abs(_chain_values(parts, f, out[:f.size])))
-                                     for _, f in _blocks(grid)))
+    def blocks():  # its buffers are freed once the last block is read
+        size = min(_BLOCK + 1, grid.n_points)
+        chain = _chain_values(parts, size)
+        out, mag = np.empty(size, dtype=np.complex128), np.empty(size)
+        for _, f in _blocks(grid):
+            yield f, np.abs(chain(f, out[:f.size]), out=mag[:f.size])
+
+    return _null_metrics(grid, f_g, blocks())
 
 
 # ---------------------------------------------------------------------------

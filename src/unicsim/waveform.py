@@ -6,11 +6,18 @@ records are processed by overlap-add segments whose wrapped tail makes the
 segmented result identical to the single-block one.  Circular semantics mean
 an exactly record-periodic gate waveform is suppressed at the steady-state
 null depth with no turn-on transient.
+
+A record is made as a stream of (start, samples) pieces (`_record`), each
+yielded once final.  The library gathers them into one array; the
+`waveform` subcommand writes each into the binary file at its offset and
+reads the file back a slice at a time for the CSV and the rms, so it holds
+no record-sized array.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -60,10 +67,7 @@ class Waveform:
         s = np.asarray(self.samples, dtype=np.float64).view()  # read-only without freezing the caller's array
         if s.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        # min and max are NaN when any sample is, and infinite when one is:
-        # two reductions, with no mask of the record.
-        if s.size and not (math.isfinite(s.min()) and math.isfinite(s.max())):
-            raise ValueError("samples must be finite")
+        _check_finite(s)
         s.flags.writeable = False
         self.samples = s
 
@@ -79,10 +83,7 @@ class Waveform:
 
     def rms(self) -> float:
         """sqrt(mean(samples**2)), with no squared copy of the record."""
-        n = self.samples.size
-        if n == 0:
-            return 0.0
-        return float(np.sqrt(_sum_squares(self.samples, np.empty(min(n, _SEGMENT))) / n))
+        return _rms(self.samples.size, _slicer(self.samples))
 
     def __add__(self, other: "Waveform") -> "Waveform":
         if not isinstance(other, Waveform):
@@ -155,14 +156,35 @@ def _record_length(spec: GateWaveSpec, duration: float, rate: float) -> int:
     return int(round(duration * rate))
 
 
-def _sum_squares(s: np.ndarray, scratch: np.ndarray):
-    """np.add.reduce(s ** 2) in numpy's pairwise order: halves split at a
-    multiple of 8 down to leaves that fit `scratch`, each squared into it."""
-    if s.size <= scratch.size:
-        return np.add.reduce(np.square(s, out=scratch[:s.size]))
-    n2 = s.size // 2
+def _check_finite(s: np.ndarray) -> None:
+    # min and max are NaN when any sample is, and infinite when one is:
+    # two reductions, with no mask of the record.
+    if s.size and not (math.isfinite(s.min()) and math.isfinite(s.max())):
+        raise ValueError("samples must be finite")
+
+
+def _slicer(s: np.ndarray):
+    """read(i0, i1): the samples i0..i1 of `s`."""
+    return lambda i0, i1: s[i0:i1]
+
+
+def _sum_squares(read, i0: int, i1: int, scratch: np.ndarray):
+    """np.add.reduce(s ** 2) of the samples s = read(i0, i1) in numpy's
+    pairwise order: halves split at a multiple of 8 down to leaves that fit
+    `scratch`, each read on its own and squared into it."""
+    if i1 - i0 <= scratch.size:
+        return np.add.reduce(np.square(read(i0, i1), out=scratch[:i1 - i0]))
+    n2 = (i1 - i0) // 2
     n2 -= n2 % 8
-    return _sum_squares(s[:n2], scratch) + _sum_squares(s[n2:], scratch)
+    return _sum_squares(read, i0, i0 + n2, scratch) + _sum_squares(read, i0 + n2, i1, scratch)
+
+
+def _rms(n: int, read) -> float:
+    """`Waveform.rms` of the n samples that read(i0, i1) returns a leaf of
+    up to _SEGMENT samples at a time."""
+    if n == 0:
+        return 0.0
+    return float(np.sqrt(_sum_squares(read, 0, n, np.empty(min(n, _SEGMENT))) / n))
 
 
 def _gate(spec: GateWaveSpec, t: np.ndarray, y: np.ndarray, scratch: np.ndarray | None) -> None:
@@ -229,11 +251,36 @@ def synth_record(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_SAMP
     with the same samples.  A filtered record past _MAX_SINGLE_FFT samples
     is synthesized one 2**17-sample overlap-add segment at a time, so only
     the output record is held whole."""
+    n, pieces = _record(spec, duration, rate, impulse, times, noise_rms, seed, response)
+    return Waveform(rate, 0.0, _gather(n, pieces))
+
+
+def _record(spec: GateWaveSpec, duration: float, rate: float, impulse: ImpulseSpec | None = None,
+            times=(), noise_rms: float = 0.0, seed: int = 0, response: TwoPortResponse | None = None):
+    """(n, pieces): the length of the record that `synth_record` makes from
+    these arguments, and its samples as (start, samples) pieces: those that
+    `_filtered` yields, or unfiltered its _SEGMENT-sample segments in order.
+    A piece is valid until the next is asked for."""
     n = _record_length(spec, duration, rate)
     if response is not None:
         _check_coverage(response, rate)
     read = _source(spec, rate, n, impulse, times, noise_rms, seed)
-    return Waveform(rate, 0.0, read(0, n) if response is None else _filter(read, n, rate, response))
+    if response is not None:
+        return n, _filtered(read, n, rate, response)
+    return n, ((i0, read(i0, min(i0 + _SEGMENT, n))) for i0 in range(0, n, _SEGMENT))
+
+
+def _gather(n: int, pieces) -> np.ndarray:
+    """The n samples that `pieces` yields, in one array; a piece that holds
+    them all is returned as it is."""
+    out = None
+    for start, p in pieces:
+        if p.size == n:
+            return p
+        if out is None:
+            out = np.empty(n)
+        out[start:start + p.size] = p
+    return out
 
 
 def _gaussian(t: np.ndarray, spec: ImpulseSpec) -> np.ndarray:
@@ -327,35 +374,55 @@ def _check_coverage(resp: TwoPortResponse, rate: float) -> None:
         )
 
 
-def _overlap_add_circular(read, n: int, h: np.ndarray, block: int) -> np.ndarray:
+def _overlap_add_circular(read, n: int, h: np.ndarray, block: int):
     """Circular convolution with h, via overlap-add and tail wrap, of the n
-    samples that read(i0, i1) returns a segment at a time."""
+    samples that read(i0, i1) returns a segment at a time, yielded as
+    (start, samples) pieces once final: in order from sample L - 1 on, then
+    the head 0..L - 1 with the linear-convolution tail added to it.  A piece
+    is valid until the next is asked for."""
     L = h.size
     nfft = _next_pow2(block + L - 1)
     hf = np.fft.rfft(h, nfft)
-    y = np.zeros(n + L - 1)
+    acc = np.zeros(block + L - 1)  # samples start .. start + block + L - 1
+    head = np.empty(min(L - 1, n))
     for start in range(0, n, block):
+        if start:
+            acc[:L - 1] = acc[block:]  # the overlap moves to the front
+            acc[L - 1:] = 0.0
         seg = read(start, min(start + block, n))
-        yk = np.fft.irfft(np.fft.rfft(seg, nfft) * hf, nfft)[: seg.size + L - 1]
-        y[start:start + yk.size] += yk
-    y[: L - 1] += y[n:]  # wrap the linear-convolution tail: circular semantics
-    return y[:n]
+        x = np.fft.rfft(seg, nfft)
+        x *= hf
+        yk = np.fft.irfft(x, nfft)[: seg.size + L - 1]
+        acc[:yk.size] += yk
+        # samples start .. start + seg.size take no later segment
+        k = min(max(head.size - start, 0), seg.size)
+        head[start:start + k] = acc[:k]
+        if k < seg.size:
+            yield start + k, acc[k:seg.size]
+    head += acc[seg.size:seg.size + head.size]  # wrap the tail: circular semantics
+    if head.size:
+        yield 0, head
 
 
-def _filter(read, n: int, rate: float, resp: TwoPortResponse, ir_length: int | None = None,
-            block_size: int | None = None) -> np.ndarray:
-    """The n > 0 samples that read(i0, i1) returns, filtered as `apply_response` describes."""
+def _filtered(read, n: int, rate: float, resp: TwoPortResponse, ir_length: int | None = None,
+              block_size: int | None = None):
+    """(start, samples) pieces of the n > 0 samples that read(i0, i1)
+    returns, filtered as `apply_response` describes: one piece of the whole
+    record, or the overlap-add pieces past _MAX_SINGLE_FFT samples or when
+    `block_size` is given."""
     L = ir_length if ir_length is not None else min(DEFAULT_IR_LENGTH, _next_pow2(n))
     if n <= L and block_size is None:
         # Short record: multiply on its own bin grid, no intermediate FIR.
         bins = np.arange(n // 2 + 1) * (rate / n)
-        return np.fft.irfft(np.fft.rfft(read(0, n)) * _interp_response(resp, bins), n)
+        yield 0, np.fft.irfft(np.fft.rfft(read(0, n)) * _interp_response(resp, bins), n)
+        return
 
     bins = np.arange(L // 2 + 1) * (rate / L)
     h = np.fft.irfft(_interp_response(resp, bins), L)
     if block_size is None and n <= _MAX_SINGLE_FFT:
-        return np.fft.irfft(np.fft.rfft(read(0, n)) * np.fft.rfft(h, n), n)
-    return _overlap_add_circular(read, n, h, L if block_size is None else int(block_size))
+        yield 0, np.fft.irfft(np.fft.rfft(read(0, n)) * np.fft.rfft(h, n), n)
+        return
+    yield from _overlap_add_circular(read, n, h, L if block_size is None else int(block_size))
 
 
 def apply_response(w: Waveform, resp: TwoPortResponse, *, ir_length: int | None = None,
@@ -374,7 +441,7 @@ def apply_response(w: Waveform, resp: TwoPortResponse, *, ir_length: int | None 
     if x.size == 0:
         return Waveform(w.sample_rate, w.t0, x)
     return Waveform(w.sample_rate, w.t0,
-                    _filter(lambda i0, i1: x[i0:i1], x.size, w.sample_rate, resp, ir_length, block_size))
+                    _gather(x.size, _filtered(_slicer(x), x.size, w.sample_rate, resp, ir_length, block_size)))
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -406,8 +473,28 @@ def add_noise(w: Waveform, rms: float, seed: int) -> Waveform:
 _CSV_HEADER = ["time_s", "volts"]
 
 
+class _Column:
+    """n values whose slice [i0:i1] is read(i0, i1), as `write_csv` slices a column."""
+
+    def __init__(self, n: int, read):
+        self.n, self.read = n, read
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.read(*rows.indices(self.n)[:2])
+
+
+def _write_csv(path, rate: float, t0: float, n: int, read) -> None:
+    """`write_waveform_csv` of the n samples that read(i0, i1) returns, with
+    `Waveform.times` computed a slice of rows at a time."""
+    times = _Column(n, lambda i0, i1: t0 + np.arange(i0, i1) / rate)
+    write_csv(path, _CSV_HEADER, [times, _Column(n, read)])
+
+
 def write_waveform_csv(path, w: Waveform) -> None:
-    write_csv(path, _CSV_HEADER, [w.times(), w.samples])
+    _write_csv(path, w.sample_rate, w.t0, len(w), _slicer(w.samples))
 
 
 def read_waveform_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -418,11 +505,35 @@ def read_waveform_csv(path) -> tuple[np.ndarray, np.ndarray]:
 _BIN_HEADER = struct.Struct("<ddQ")
 
 
+def _write_binary(path, rate: float, t0: float, n: int, pieces) -> None:
+    """`write_waveform_binary` of the n samples that `pieces` yields as
+    (start, samples) pieces, each written at its offset as it comes.  A
+    non-finite sample raises ValueError; on any error the file is removed."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(_BIN_HEADER.pack(rate, t0, n))
+            for start, p in pieces:
+                _check_finite(p)
+                fh.seek(_BIN_HEADER.size + 8 * start)
+                # a contiguous little-endian piece is written from its own buffer, uncopied
+                fh.write(np.ascontiguousarray(p, dtype="<f8").data)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _binary_reader(fh):
+    """read(i0, i1): the samples i0..i1 of the waveform file open as `fh`."""
+    def read(i0: int, i1: int) -> np.ndarray:
+        fh.seek(_BIN_HEADER.size + 8 * i0)
+        return np.frombuffer(fh.read(8 * (i1 - i0)), dtype="<f8")
+
+    return read
+
+
 def write_waveform_binary(path, w: Waveform) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(w.sample_rate, w.t0, len(w)))
-        # a contiguous little-endian record is written from its own buffer, uncopied
-        fh.write(np.ascontiguousarray(w.samples, dtype="<f8").data)
+    _write_binary(path, w.sample_rate, w.t0, len(w), [(0, w.samples)])
 
 
 def read_waveform_binary(path) -> Waveform:

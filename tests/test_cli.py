@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unicsim import cli, network, waveform
 from unicsim.acquisition import read_gate_counts_json, read_histogram_csv, read_timestamps_binary
 from unicsim.apd import read_events_csv
 from unicsim.characterize import read_run_report, read_sweep_csv
@@ -108,6 +110,57 @@ def test_waveform_command(tmp_path):
     assert np.array_equal(v, w.samples)
     # the filtered record keeps the avalanche impulses well above the residual
     assert v.max() > 5e-6
+
+
+@pytest.mark.parametrize("filtered", [True, False], ids=["overlap-add", "unfiltered"])
+def test_streamed_waveform_files_equal_the_library_record(tmp_path, monkeypatch, capsys, filtered):
+    # 304,000 samples, not a multiple of the 2**17-sample segment, take the
+    # overlap-add path, or unfiltered come in three segments: the command
+    # writes its pieces into waveform.bin and reads the file back for the
+    # CSV and the rms
+    monkeypatch.setattr(waveform, "_MAX_SINGLE_FFT", 1 << 17)
+    raw = copy.deepcopy(GOLDEN_CONFIG)
+    raw["waveform"].update(duration=7.6e-6, noise_rms=1e-4, filtered=filtered)
+    raw["output_dir"] = str(tmp_path / "cli")
+    cfg = cli.parse("waveform", raw)
+    cli.cmd_waveform(cfg)
+    printed = capsys.readouterr().out
+
+    wf = cfg.waveform
+    net = cfg.network if filtered else None
+    spec = cli._gate_spec(wf, net)
+    times = np.arange(wf.impulse_gate_stride, int(wf.duration * spec.f_g) - 1,
+                      wf.impulse_gate_stride) * (1.0 / spec.f_g)
+    response = None
+    if filtered:
+        grid = network.FrequencyGrid(0.0, wf.sample_rate / 2.0, waveform.DEFAULT_IR_LENGTH // 2 + 1)
+        response = network.chain_response(cli._chain(net), grid)
+    w = waveform.synth_record(spec, wf.duration, wf.sample_rate, impulse=cli._impulse(wf), times=times,
+                              noise_rms=wf.noise_rms, seed=cfg.seed, response=response)
+    assert len(w) == 304_000
+    waveform.write_waveform_binary(tmp_path / "waveform.bin", w)
+    waveform.write_waveform_csv(tmp_path / "waveform.csv", w)
+    for name in ("waveform.bin", "waveform.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert printed == f"waveform: n_samples=304000 rms_v={w.rms()!r}\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the filter overflows
+@pytest.mark.parametrize("duration, max_single_fft", [
+    (2e-7, waveform._MAX_SINGLE_FFT),  # one piece
+    (7.6e-6, 1 << 17),                 # overlap-add pieces
+], ids=["short", "overlap-add"])
+def test_non_finite_record_exits_3_and_leaves_no_file(tmp_path, monkeypatch, capsys, duration,
+                                                      max_single_fft):
+    monkeypatch.setattr(waveform, "_MAX_SINGLE_FFT", max_single_fft)
+    raw = copy.deepcopy(GOLDEN_CONFIG)
+    raw["waveform"].update(duration=duration, impulse_peak=1e308)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["waveform", "-c", str(path), "--output-dir", str(tmp_path / "out")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "runtime", "message": "ValueError: samples must be finite"}
+    assert not (tmp_path / "out" / "waveform.bin").exists()
 
 
 def test_simulate_command(tmp_path):

@@ -7,6 +7,9 @@ against the same run over one gate block.
 """
 
 import copy
+import json
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -90,19 +93,24 @@ def test_chain_evaluation_holds_one_complex_array():
     assert peak <= resp.values.nbytes + 8 * (16 << 16)
 
 
-def test_streamed_waveform_holds_one_output_record(tmp_path):
+def _waveform_config(out, duration):
     raw = copy.deepcopy(CONFIG)
-    raw["waveform"]["duration"] = 1.06e-4  # 4.24e6 samples: the overlap-add path
-    raw.update(emit=["json"], output_dir=str(tmp_path))
-    cfg = cli.parse("waveform", raw)
-    _, peak = _traced_peak(cli.cmd_waveform, cfg)  # synthesis, filter, write and rms
-    record = 8 * 4_240_000
+    raw["waveform"]["duration"] = duration
+    raw.update(emit=["json"], output_dir=str(out))
+    return cli.parse("waveform", raw)
+
+
+def test_streamed_waveform_holds_no_record(tmp_path):
+    # 4.24e6 samples: the overlap-add path; synthesis, filter, write and rms
+    _, peak = _traced_peak(cli.cmd_waveform, _waveform_config(tmp_path / "one", 1.06e-4))
     segment = 8 << 17  # a 2**17-sample segment
-    # the output record with its overlap-add tail, then a budget that does not
-    # grow with the record: the three segment buffers of the synthesis, the
-    # chain response, the impulse response, its spectrum and one segment's
-    # FFT temporaries (about 15 segments)
-    assert peak <= record + 20 * segment
+    # a budget that does not grow with the record: the segment buffers of the
+    # synthesis, the chain response, the impulse response and its spectrum,
+    # the overlap-add window and head, and one segment's FFT temporaries
+    # (about 17 segments)
+    assert peak <= 20 * segment
+    _, twice = _traced_peak(cli.cmd_waveform, _waveform_config(tmp_path / "two", 2.12e-4))
+    assert twice <= 1.1 * peak
 
 
 def test_spectrum_metrics_hold_two_float_arrays(tmp_path):
@@ -113,3 +121,34 @@ def test_spectrum_metrics_hold_two_float_arrays(tmp_path):
     n = network.metrics_grid(step=cfg.network.spectrum.fine_step).n_points  # 2e6 + 1 points
     # the background |H| values, filled a block at a time, and one block's temporaries
     assert peak <= 2 * 8 * n
+
+
+# A child's ru_maxrss counts the resident set of the process that forked it,
+# so each measured child is started by a fresh interpreter, not by pytest.
+_LAUNCH = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print(usage.ru_maxrss)
+"""
+
+
+def _process_peak_kb(*args) -> int:
+    """The peak resident set (kB) of `python *args`, run to completion."""
+    run = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *args],
+                         capture_output=True, text=True, check=True)
+    return int(run.stdout)
+
+
+def test_waveform_process_peak_stays_under_half_a_record(tmp_path):
+    # tracemalloc does not see pocketfft's or the allocator's memory
+    raw = copy.deepcopy(CONFIG)
+    raw["waveform"]["duration"] = 2e-4  # 8e6 samples
+    raw.update(emit=["json"], output_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    peak = _process_peak_kb("-m", "unicsim", "waveform", "-c", str(path))
+    imports = _process_peak_kb("-c", "import unicsim.cli")
+    record_kb = 8 * 8_000_000 / 1024
+    assert peak - imports < record_kb / 2

@@ -425,6 +425,17 @@ def test_waveform_csv_roundtrip(tmp_path):
     assert np.array_equal(t, w.times())
 
 
+def test_streamed_binary_writer_places_pieces_and_removes_a_partial_file(tmp_path):
+    path = tmp_path / "wave.bin"
+    waveform._write_binary(path, RATE, 1e-9, 5, iter([(2, np.ones(3)), (0, np.array([2.0, -0.0]))]))
+    back = read_waveform_binary(path)
+    assert (back.sample_rate, back.t0) == (RATE, 1e-9)
+    assert back.samples.tobytes() == np.array([2.0, -0.0, 1.0, 1.0, 1.0]).tobytes()
+    with pytest.raises(ValueError, match="finite"):
+        waveform._write_binary(path, RATE, 0.0, 5, iter([(2, np.ones(3)), (0, np.array([0.0, np.inf]))]))
+    assert not path.exists()
+
+
 def test_waveform_binary_roundtrip(tmp_path):
     w = synth_avalanche(ImpulseSpec(fwhm=200e-12, peak=2e-3, onset=1e-9), rate=RATE)
     path = tmp_path / "wave.bin"
