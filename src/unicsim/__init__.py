@@ -54,6 +54,7 @@ from .apd import (
     pulse_ratio,
     renewal_clicks_per_gate,
     simulate,
+    simulate_blocks,
 )
 from .acquisition import (
     AcquisitionConfig,

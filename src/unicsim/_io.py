@@ -37,6 +37,7 @@ slice's text.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 
@@ -87,34 +88,53 @@ class Coded:
         return Coded(self.names, self.codes[rows])
 
 
-def write_csv(path, header, columns) -> None:
-    """Write `header`, then row i holding element i of every column; the
-    columns must have one length."""
+def _n_rows(path, columns) -> int:
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"{path}: columns differ in length: {lengths}")
-    # imported on first use: a process that writes no CSV file does not
-    # compile the cell layout when bytecode is not cached
-    from ._cells import chars, segments
+    return min(lengths)
 
-    lone = len(columns) == 1
-    n_rows = min(lengths)
+
+def write_csv(path, header, columns) -> None:
+    """Write `header`, then row i holding element i of every column; the
+    columns must have one length."""
+    _n_rows(path, columns)  # checked before the file is made
+    with csv_rows(path, header) as append:
+        append(columns)
+
+
+@contextlib.contextmanager
+def csv_rows(path, header):
+    """`write_csv` of rows that arrive in blocks: the function this yields
+    appends the rows of its columns (of one length) after the header, and
+    the file holds the bytes that one `write_csv` of the joined columns
+    writes."""
     with open(path, "w", newline="") as fh:
         out = fh.buffer  # the text layer only names the encoding
         out.write((",".join(_texts(list(header), len(header) == 1)) + "\r\n").encode(fh.encoding))
-        for start in range(0, n_rows, _ROWS_PER_SLICE):
-            m = min(_ROWS_PER_SLICE, n_rows - start)
-            contents, keeps = [], []
-            for i, column in enumerate(columns):
-                if i:
-                    contents.append(np.broadcast_to(chars(","), (m, 1)))
-                    keeps.append(np.ones((m, 1), dtype=bool))
-                content, keep = segments(column[start:start + m], lone, fh.encoding)
-                contents += content
-                keeps += keep
-            contents.append(np.broadcast_to(chars("\r\n"), (m, 2)))
-            keeps.append(np.ones((m, 2), dtype=bool))
-            out.write(np.concatenate(contents, axis=1)[np.concatenate(keeps, axis=1)])
+
+        def append(columns) -> None:
+            # imported on first use: a process that writes no CSV file does not
+            # compile the cell layout when bytecode is not cached
+            from ._cells import chars, segments
+
+            n_rows = _n_rows(path, columns)
+            lone = len(columns) == 1
+            for start in range(0, n_rows, _ROWS_PER_SLICE):
+                m = min(_ROWS_PER_SLICE, n_rows - start)
+                contents, keeps = [], []
+                for i, column in enumerate(columns):
+                    if i:
+                        contents.append(np.broadcast_to(chars(","), (m, 1)))
+                        keeps.append(np.ones((m, 1), dtype=bool))
+                    content, keep = segments(column[start:start + m], lone, fh.encoding)
+                    contents += content
+                    keeps += keep
+                contents.append(np.broadcast_to(chars("\r\n"), (m, 2)))
+                keeps.append(np.ones((m, 2), dtype=bool))
+                out.write(np.concatenate(contents, axis=1)[np.concatenate(keeps, axis=1)])
+
+        yield append
 
 
 def read_csv(path, header) -> list[list[str]]:

@@ -9,6 +9,7 @@ the window.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import asdict, dataclass
@@ -107,6 +108,7 @@ class GateCounts:
 
 _DEAD_TIME_SLICE = 1 << 16
 _MAX_PASSES = 256  # lock-step passes per slice that still beat walking it click by click
+_WALK_PIECE = 1 << 12  # clicks of a walked slice turned into Python floats at once
 
 
 def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
@@ -121,7 +123,7 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
     (`searchsorted`).  A cluster keeps at most one click per dead time of
     its span, so a slice whose longest cluster spans more than `_MAX_PASSES`
     dead times (a saturated stream, where no gap reaches the dead time) is
-    walked click by click instead.
+    walked click by click instead, `_WALK_PIECE` clicks at a time.
     """
     if dead_time <= 0 or times.size == 0:
         return times
@@ -141,22 +143,24 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
         spans = part[ends - 1]
         spans -= part[firsts]  # in place: the out-of-place form raised maxrate's peak RSS by 49 MB
         if spans.max() > _MAX_PASSES * dead_time:
-            walk = []
-            for t in part.tolist():
-                if t >= next_ok:
-                    walk.append(t)
-                    next_ok = t + dead_time
-            part = np.array(walk)
-        else:
-            busy = ends - firsts > 1
-            cur, end = firsts[busy], ends[busy]
-            while cur.size:
-                nxt = np.searchsorted(part, part[cur] + dead_time)
-                on = nxt < end
-                cur, end = nxt[on], end[on]
-                keep[cur] = True
-            part = part[keep]
-            next_ok = part[-1] + dead_time
+            for i in range(0, part.size, _WALK_PIECE):
+                walk = []
+                for t in part[i:i + _WALK_PIECE].tolist():
+                    if t >= next_ok:
+                        walk.append(t)
+                        next_ok = t + dead_time
+                kept[n_kept:n_kept + len(walk)] = walk
+                n_kept += len(walk)
+            continue
+        busy = ends - firsts > 1
+        cur, end = firsts[busy], ends[busy]
+        while cur.size:
+            nxt = np.searchsorted(part, part[cur] + dead_time)
+            on = nxt < end
+            cur, end = nxt[on], end[on]
+            keep[cur] = True
+        part = part[keep]
+        next_ok = part[-1] + dead_time
         kept[n_kept:n_kept + part.size] = part
         n_kept += part.size
     kept.resize(n_kept, refcheck=False)
@@ -182,7 +186,7 @@ def tdc(clicks: np.ndarray, spec: TdcSpec) -> np.ndarray:
 
     Quantization is round-to-nearest with ties to even.
     """
-    clicks = np.asarray(clicks, dtype=np.float64)
+    clicks = np.array(clicks, dtype=np.float64)  # a copy, quantized in place
     if clicks.size and np.any(np.diff(clicks) < 0):
         raise ValueError("click times must be sorted")
     return _block_tdc(spec)(clicks)
@@ -190,16 +194,20 @@ def tdc(clicks: np.ndarray, spec: TdcSpec) -> np.ndarray:
 
 def _block_tdc(spec: TdcSpec):
     """`tdc` of a stream that arrives in blocks: call the returned function on
-    each block of sorted click times, in order, to get that block's kept stamps.
+    each block of sorted float64 click times, in order, to get that block's
+    kept stamps.  The block is quantized in place: its array then holds the
+    stamps.
 
     The dead-time window end (the last kept stamp plus the dead time) carries
     from one block to the next, and a block's stamps before it are dropped.
     """
     next_ok = -math.inf
 
-    def block(clicks: np.ndarray) -> np.ndarray:
+    def block(stamps: np.ndarray) -> np.ndarray:
         nonlocal next_ok
-        stamps = np.round(clicks / spec.resolution) * spec.resolution
+        stamps /= spec.resolution
+        np.round(stamps, out=stamps)
+        stamps *= spec.resolution
         kept = _apply_dead_time(stamps[np.searchsorted(stamps, next_ok):], spec.dead_time)
         if kept.size:
             next_ok = kept[-1] + spec.dead_time
@@ -242,30 +250,53 @@ def classify(ts: np.ndarray, f_g: float, r: int, illuminated_index: int,
     illuminated_index (mod r) are illuminated.  At most one click counts per
     gate.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    if not 0 <= illuminated_index < r:
-        raise ValueError("illuminated_index must lie in [0, r)")
-    if n_gates < 1:
-        raise ValueError("n_gates must be >= 1")
-    ts = np.asarray(ts, dtype=np.float64)
-    gates = np.rint((ts - offset) * f_g).astype(np.int64)
-    if gates.size and (gates.min() < 0 or gates.max() >= n_gates):
-        raise ValueError("timestamp maps outside [0, n_gates)")
-    hit = _distinct(gates)
-    ill = (hit % r) == illuminated_index
-    clicks_ill = int(ill.sum())
-    clicks_ni = int(hit.size - clicks_ill)
-    n_ill = len(range(illuminated_index, n_gates, r))
-    n_ni = n_gates - n_ill
-    return GateCounts(
-        n_gates_illuminated=n_ill,
-        n_gates_non_illuminated=n_ni,
-        clicks_illuminated=clicks_ill,
-        clicks_non_illuminated=clicks_ni,
-        p_i=clicks_ill / n_ill if n_ill else 0.0,
-        p_ni=clicks_ni / n_ni if n_ni else 0.0,
-    )
+    tally = _GateTally(f_g, r, illuminated_index, n_gates, offset)
+    tally.add(ts)
+    return tally.counts()
+
+
+class _GateTally:
+    """`classify` of a stamp stream that arrives in blocks: `add` each block
+    in order, then take `counts`.  Sorted stamps map to nondecreasing gates,
+    so a gate hit at the end of one block and at the start of the next is
+    the last hit gate, carried across, and counts once; a single block may
+    be unsorted."""
+
+    def __init__(self, f_g: float, r: int, illuminated_index: int, n_gates: int, offset: float = 0.0):
+        if r < 2:
+            raise ValueError("r must be >= 2")
+        if not 0 <= illuminated_index < r:
+            raise ValueError("illuminated_index must lie in [0, r)")
+        if n_gates < 1:
+            raise ValueError("n_gates must be >= 1")
+        self.f_g, self.r, self.offset = f_g, r, offset
+        self.illuminated_index, self.n_gates = illuminated_index, n_gates
+        self.last = -1  # the last hit gate
+        self.clicks = self.clicks_ill = 0
+
+    def add(self, ts: np.ndarray) -> None:
+        gates = np.rint((np.asarray(ts, dtype=np.float64) - self.offset) * self.f_g).astype(np.int64)
+        if gates.size and (gates.min() < 0 or gates.max() >= self.n_gates):
+            raise ValueError("timestamp maps outside [0, n_gates)")
+        hit = _distinct(gates)
+        hit = hit[hit > self.last]
+        if hit.size:
+            self.last = int(hit[-1])
+        self.clicks += hit.size
+        self.clicks_ill += int(np.count_nonzero(hit % self.r == self.illuminated_index))
+
+    def counts(self) -> GateCounts:
+        n_ill = len(range(self.illuminated_index, self.n_gates, self.r))
+        n_ni = self.n_gates - n_ill
+        clicks_ni = self.clicks - self.clicks_ill
+        return GateCounts(
+            n_gates_illuminated=n_ill,
+            n_gates_non_illuminated=n_ni,
+            clicks_illuminated=self.clicks_ill,
+            clicks_non_illuminated=clicks_ni,
+            p_i=self.clicks_ill / n_ill if n_ill else 0.0,
+            p_ni=clicks_ni / n_ni if n_ni else 0.0,
+        )
 
 
 def count_rate(ts: np.ndarray, span: float) -> float:
@@ -293,10 +324,28 @@ def read_histogram_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_timestamps_binary(path, ts: np.ndarray) -> None:
     """Little-endian u64 count then i64 picosecond timestamps."""
-    ps = np.rint(np.asarray(ts, dtype=np.float64) * 1e12).astype("<i8")
+    with _timestamps_writer(path) as append:
+        append(ts)
+
+
+@contextlib.contextmanager
+def _timestamps_writer(path):
+    """A function that appends stamps to the timestamps file `path`; the
+    count goes into its header when the `with` block ends."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", ps.size))
-        fh.write(ps.tobytes())
+        fh.write(struct.pack("<Q", 0))
+        n = 0
+
+        def append(ts: np.ndarray) -> None:
+            nonlocal n
+            ps = np.asarray(ts, dtype=np.float64) * 1e12
+            np.rint(ps, out=ps)
+            fh.write(ps.astype("<i8").data)
+            n += ps.size
+
+        yield append
+        fh.seek(0)
+        fh.write(struct.pack("<Q", n))
 
 
 def read_timestamps_binary(path) -> np.ndarray:

@@ -15,7 +15,8 @@ trap settings.  Each key is numpy's SeedSequence spawn key of (block,
 purpose), derived for a batch of blocks at once.  The photon lane draws one
 uniform per illuminated gate; the dark lane draws only the dark hits, as
 geometric gaps between them, so its cost scales with the number of dark
-events rather than with the gates.
+events rather than with the gates.  `simulate_blocks` yields the events of
+each block as it is drawn; `simulate` joins them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "KIND_DARK",
     "KIND_AFTERPULSE",
     "simulate",
+    "simulate_blocks",
     "expected_afterpulses",
     "expected_click_prob",
     "renewal_clicks_per_gate",
@@ -51,6 +53,7 @@ KIND_AFTERPULSE = 2
 KIND_NAMES = ("photon", "dark", "afterpulse")
 
 _CHUNK = 1 << 20
+_DRAW = 1 << 16  # variates drawn at once; a Philox stream gives the same values in any slicing
 _KIND_BITS = 2  # low bits of the sort key that hold the event kind
 _LANE_PHOTON, _LANE_DARK, _LANE_TRAP, _LANE_TRIGGER, _LANE_CHARGE, _LANE_JITTER = range(6)
 
@@ -249,17 +252,27 @@ def _philox_at(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator
 
 def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int,
                       rng_trap: np.random.Generator, rng_trig: np.random.Generator) -> np.ndarray:
-    """Afterpulse target gates triggered by traps from the given avalanches."""
-    counts = rng_trap.poisson(det.traps_per_avalanche, sources.size)
-    total = int(counts.sum())
+    """Afterpulse target gates triggered by traps from the given avalanches.
+
+    The trap counts and trigger draws are made a slice of sources at a time,
+    keeping only the triggered traps.  The trap lane draws every count before
+    the first release offset, so the offsets follow, a slice at a time."""
+    origin, triggered = [], []
+    for i in range(0, sources.size, _DRAW):
+        counts = rng_trap.poisson(det.traps_per_avalanche, min(_DRAW, sources.size - i))
+        hit = rng_trig.random(int(counts.sum())) < det.p_trigger
+        origin.append(np.repeat(sources[i:i + _DRAW], counts)[hit])
+        triggered.append(hit)
+    triggered = np.concatenate(triggered)
+    total = triggered.size
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = rng_trap.exponential(det.detrap_tau, total)
-    triggered = rng_trig.random(total) < det.p_trigger
-    origin = np.repeat(sources, counts)[triggered]
+    offsets = np.concatenate([rng_trap.exponential(det.detrap_tau, keep.size)[keep]
+                              for keep in np.split(triggered, range(_DRAW, total, _DRAW))])
+    origin = np.concatenate(origin)
     period = 1.0 / det.f_g
     half_w = 0.5 * det.gate_width
-    release = (origin * period - half_w) + offsets[triggered]  # anchored at the window start
+    release = (origin * period - half_w) + offsets  # anchored at the window start
     target = np.rint(release * det.f_g).astype(np.int64)
     in_window = np.abs(release - target * period) <= half_w
     return target[in_window & (target > origin) & (target < n_gates)]
@@ -314,13 +327,18 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[first]
 
 
-def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
-    """(gate_index, time, kind, charge) arrays of each `_CHUNK`-gate block of a
-    `simulate` run, in gate order; afterpulse targets carry from block to block."""
+def _check_n_gates(n_gates: int) -> None:
     if n_gates < 1:
         raise ValueError("n_gates must be >= 1")
     if n_gates > _CHUNK << 32:
         raise ValueError("n_gates must be <= 2**52 (block indices are one uint32 word)")
+
+
+def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
+    """The events of `simulate`, as (gate_index, time, kind, charge) arrays of
+    each 2**20-gate block in gate order; afterpulse targets carry from block
+    to block.  A block's arrays are its own: the caller may overwrite them."""
+    _check_n_gates(n_gates)
     r = pulse_ratio(det, src)
     phase = src.illuminated_gate_phase if src.mode == "pulsed" else 0
     p_photon = -math.expm1(-src.mu * det.eta_gate)
@@ -336,7 +354,9 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
     gens = [np.random.Generator(np.random.Philox(0)) for _ in range(_N_LANES)]  # reset per block
 
     def block(lane_keys: np.ndarray, g0: int):
-        # a function, so that this block's temporaries are freed before the next is drawn
+        # a function, so that this block's temporaries are freed before the next
+        # is drawn; each is also freed once used, so that a dense block holds
+        # little more than its four event arrays
         nonlocal pending
 
         def rng(lane: int) -> np.random.Generator:
@@ -350,8 +370,13 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
         first = g0 + (phase - g0) % r
         n_illuminated = len(range(first, g1, r))
         if p_photon > 0 and n_illuminated:
-            photon_gates = np.flatnonzero(rng(_LANE_PHOTON).random(n_illuminated) < p_photon)
-            photon_gates *= r  # in place: two more temporaries per block cost maxrate 40 MB of RSS
+            hit = np.empty(n_illuminated, dtype=bool)
+            gen = rng(_LANE_PHOTON)
+            for i in range(0, n_illuminated, _DRAW):
+                np.less(gen.random(min(_DRAW, n_illuminated - i)), p_photon, out=hit[i:i + _DRAW])
+            photon_gates = np.flatnonzero(hit)
+            del hit
+            photon_gates *= r
             photon_gates += first
         else:
             photon_gates = np.empty(0, dtype=np.int64)
@@ -377,24 +402,30 @@ def _blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):
             primaries = np.concatenate([photon_gates, dark_gates])
             primaries.sort()
             cand = _spawn_candidates(primaries, det, n_gates, rng(_LANE_TRAP), rng(_LANE_TRIGGER))
+            del primaries
             if cand.size:
                 pending = np.concatenate([pending, cand[cand >= g1]])
                 stay = _distinct(cand[cand < g1])
                 afterpulses = np.concatenate([afterpulses, stay[~occupied[stay - g0]]])
+        del occupied
 
         # One sort of the gates, each tagged with its kind in the low bits
         # (a gate holds at most one avalanche, so the tags never reorder).
-        keys = np.concatenate([photon_gates, dark_gates, afterpulses]) << _KIND_BITS
-        keys |= np.repeat(np.array([KIND_PHOTON, KIND_DARK, KIND_AFTERPULSE]),
-                          [photon_gates.size, dark_gates.size, afterpulses.size])
+        n_photon, n_primary = photon_gates.size, photon_gates.size + dark_gates.size
+        keys = np.concatenate([photon_gates, dark_gates, afterpulses])
+        del photon_gates, dark_gates, afterpulses
+        keys <<= _KIND_BITS
+        keys[n_photon:n_primary] |= KIND_DARK  # KIND_PHOTON is 0
+        keys[n_primary:] |= KIND_AFTERPULSE
         keys.sort()
-        gates = keys >> _KIND_BITS
-        kinds = (keys & ((1 << _KIND_BITS) - 1)).astype(np.uint8)
+        kinds = keys.astype(np.uint8)  # the low byte, then its kind bits
+        kinds &= (1 << _KIND_BITS) - 1
+        keys >>= _KIND_BITS
+        gates = keys
 
-        n_ev = gates.size
-        jitter = _truncated_normal(rng(_LANE_JITTER), det.jitter_sigma, half_w, n_ev)
-        times = gates * period + jitter
-        charges = rng(_LANE_CHARGE).lognormal(mu_ln, sigma_ln, n_ev)
+        times = _truncated_normal(rng(_LANE_JITTER), det.jitter_sigma, half_w, gates.size)
+        times += gates * period  # the gate centres plus the jitter
+        charges = rng(_LANE_CHARGE).lognormal(mu_ln, sigma_ln, gates.size)
         return gates, times, kinds, charges
 
     starts = range(0, n_gates, _CHUNK)
@@ -417,8 +448,9 @@ def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int) ->
     center plus truncated Gaussian jitter; charges are log-normal with the
     configured mean and coefficient of variation.  Afterpulse avalanches do
     not refill traps (first generation only, matching `expected_afterpulses`).
+    The events are the blocks of `simulate_blocks`, joined.
     """
-    return EventStream(*(np.concatenate(col) for col in zip(*_blocks(det, src, n_gates, seed))))
+    return EventStream(*(np.concatenate(col) for col in zip(*simulate_blocks(det, src, n_gates, seed))))
 
 
 def expected_afterpulses(det: DetectorConfig, dead_time: float = 0.0) -> float:
@@ -492,9 +524,13 @@ def renewal_clicks_per_gate(det: DetectorConfig, mu: float, dead_time: float) ->
 _EVENTS_HEADER = ["gate_index", "time_s", "kind", "charge_c"]
 
 
+def _event_columns(gate_index, time, kind, charge) -> list:
+    """The events.csv columns of these event arrays."""
+    return [gate_index, time, Coded(KIND_NAMES, kind), charge]
+
+
 def write_events_csv(path, stream: EventStream) -> None:
-    kinds = Coded(KIND_NAMES, stream.kind)
-    write_csv(path, _EVENTS_HEADER, [stream.gate_index, stream.time, kinds, stream.charge])
+    write_csv(path, _EVENTS_HEADER, _event_columns(stream.gate_index, stream.time, stream.kind, stream.charge))
 
 
 def read_events_csv(path) -> EventStream:

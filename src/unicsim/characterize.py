@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._io import read_csv, read_json, write_csv, write_json
-from .acquisition import _block_tdc, classify, AcquisitionConfig, TdcSpec
-from .apd import KIND_NAMES, DetectorConfig, SourceConfig, _blocks, pulse_ratio
+from .acquisition import _block_tdc, _GateTally, classify, AcquisitionConfig, TdcSpec
+from .apd import KIND_NAMES, DetectorConfig, SourceConfig, pulse_ratio, simulate_blocks
 
 __all__ = [
     "RunReport",
@@ -173,28 +173,36 @@ def _pulsed_ratio(det: DetectorConfig, src: SourceConfig, n_gates: int | None = 
 class _Run(NamedTuple):
     """One simulated run, reduced one gate block at a time."""
 
-    kept: int                  # stamps kept by the TDC
-    counts: dict[str, int]     # events by kind
-    charge: float              # summed avalanche charge, C
-    stamps: np.ndarray | None  # the kept stamps, when asked for
+    kept: int                         # stamps kept by the TDC
+    counts: dict[str, int]            # events by kind
+    charge: float                     # summed avalanche charge, C
+    stamps: np.ndarray | None = None  # the kept stamps, when a caller gathers them
 
 
 def _run(det: DetectorConfig, src: SourceConfig, spec: TdcSpec, n_gates: int, seed: int,
-         keep_stamps: bool) -> _Run:
+         events=None, stamps=None) -> _Run:
     """`simulate` then `tdc`, one block at a time, holding no more than one
-    block of events.  The charge sum adds each block's `np.sum` in block order."""
+    block of events.  `events(gate_index, time, kind, charge)` and
+    `stamps(ts)`, when given, see each block's events and then its kept
+    stamps.  The kinds and charges are reduced, and each array is freed once
+    used; the TDC then quantizes the times in place, so `events` must not
+    keep them.  The charge sum adds each block's `np.sum` in block order."""
     tdc_block = _block_tdc(spec)
-    kept, by_kind, charge, stamps = 0, np.zeros(len(KIND_NAMES), dtype=np.int64), 0.0, []
-    for gates, time, kind, q in _blocks(det, src, n_gates, seed):
-        ts = tdc_block(time)
-        kept += ts.size
-        by_kind += np.bincount(kind, minlength=len(KIND_NAMES))
+    kept, by_kind, charge = 0, np.zeros(len(KIND_NAMES), dtype=np.int64), 0.0
+    for gates, time, kind, q in simulate_blocks(det, src, n_gates, seed):
+        # count_nonzero, not bincount: bincount widens the kinds to int64
+        by_kind += [np.count_nonzero(kind == code) for code in range(len(KIND_NAMES))]
         charge += float(np.sum(q))
-        if keep_stamps:
-            stamps.append(ts)
-        del gates, time, kind, q, ts  # freed before the next block is drawn
-    return _Run(kept, dict(zip(KIND_NAMES, by_kind.tolist())), charge,
-                np.concatenate(stamps) if keep_stamps else None)
+        if events is not None:
+            events(gates, time, kind, q)
+        del gates, kind, q
+        ts = tdc_block(time)
+        del time  # the stamps, unless `ts` is a view of them
+        kept += ts.size
+        if stamps is not None:
+            stamps(ts)
+        del ts  # freed before the next block is drawn
+    return _Run(kept, dict(zip(KIND_NAMES, by_kind.tolist())), charge)
 
 
 def _characterize_streams(det, src, acq, n_gates, seed):
@@ -202,11 +210,14 @@ def _characterize_streams(det, src, acq, n_gates, seed):
     r = _pulsed_ratio(det, src, n_gates)
     seed_on, seed_off = _derived_seeds(seed)
 
-    on = _run(det, src, acq.tdc, n_gates, seed_on, keep_stamps=True)
+    stamps = []
+    on = _run(det, src, acq.tdc, n_gates, seed_on, stamps=stamps.append)
+    on = on._replace(stamps=np.concatenate(stamps))
     gc = classify(on.stamps, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
 
-    ts_off = _run(det, replace(src, mu=0.0), acq.tdc, n_gates, seed_off, keep_stamps=True).stamps
-    gc_off = classify(ts_off, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
+    off = _GateTally(det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
+    _run(det, replace(src, mu=0.0), acq.tdc, n_gates, seed_off, stamps=off.add)
+    gc_off = off.counts()
     dark_clicks = gc_off.clicks_illuminated + gc_off.clicks_non_illuminated
     p_d = dark_clicks / n_gates
 
@@ -298,8 +309,7 @@ def count_rate_vs_flux(det: DetectorConfig, acq: AcquisitionConfig, flux_list,
 
     def one(item):
         idx, mu = item
-        run = _run(det, SourceConfig(mode="cw_carved", laser_rate=det.f_g, mu=mu), acq.tdc,
-                   n_gates, seed, keep_stamps=False)
+        run = _run(det, SourceConfig(mode="cw_carved", laser_rate=det.f_g, mu=mu), acq.tdc, n_gates, seed)
         return SweepPoint(label=f"flux_{idx:03d}", eta_net=det.eta_gate, p_a=0.0, p_d=det.dark_per_gate,
                           flux=mu, rate_hz=run.kept / span, photocurrent_a=run.charge / span)
 

@@ -10,6 +10,7 @@ machine-readable JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -135,8 +136,8 @@ class ExperimentConfig:
     maxrate: MaxrateConfig | None = None
 
     def __post_init__(self):
-        if self.n_gates is not None and self.n_gates < 1:
-            raise ValueError("n_gates must be >= 1")
+        if self.n_gates is not None:
+            apd._check_n_gates(self.n_gates)
 
 
 # Sections each subcommand needs; the waveform command also needs `network` when filtered.
@@ -367,22 +368,43 @@ def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     det, src, acq, n_gates = cfg.detector, cfg.source, cfg.acquisition, cfg.n_gates
-    stream = apd.simulate(det, src, n_gates, cfg.seed)
-    ts = acquisition.tdc(stream.time, acq.tdc)
+    tally = None
+    if src.mode == "pulsed" and "json" in cfg.emit:
+        tally = acquisition._GateTally(det.f_g, apd.pulse_ratio(det, src), src.illuminated_gate_phase,
+                                       n_gates, acq.gate_offset)
+    # the run is written into its files a block at a time; a failed run leaves none
     written: list[str] = []
-    acquisition.write_timestamps_binary(_out(cfg, "timestamps.bin", written), ts)
-    if "csv" in cfg.emit:
-        apd.write_events_csv(_out(cfg, "events.csv", written), stream)
+    try:
+        with contextlib.ExitStack() as files:
+            timestamps = _out(cfg, "timestamps.bin", written)
+            write_stamps = files.enter_context(acquisition._timestamps_writer(timestamps))
+            events = None
+            if "csv" in cfg.emit:
+                rows = files.enter_context(_io.csv_rows(_out(cfg, "events.csv", written), apd._EVENTS_HEADER))
+
+                def events(*block):
+                    rows(apd._event_columns(*block))
+
+            def stamps(ts):
+                write_stamps(ts)
+                if tally is not None:
+                    tally.add(ts)
+
+            run = characterize._run(det, src, acq.tdc, n_gates, cfg.seed, events, stamps)
+    except BaseException:
+        for path in written:
+            if os.path.exists(path):
+                os.remove(path)
+        raise
+    n_events = sum(run.counts.values())
     if "json" in cfg.emit:
-        summary = {"n_gates": n_gates, "n_events": len(stream), "counts": stream.counts(),
-                   "n_timestamps": int(ts.size)}
-        if src.mode == "pulsed":
-            gc = acquisition.classify(ts, det.f_g, apd.pulse_ratio(det, src),
-                                      src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
+        summary = {"n_gates": n_gates, "n_events": n_events, "counts": run.counts, "n_timestamps": run.kept}
+        if tally is not None:
+            gc = tally.counts()
             summary["p_i"] = gc.p_i
             summary["p_ni"] = gc.p_ni
         _io.write_json(_out(cfg, "summary.json", written), summary)
-    print(f"simulate: n_events={len(stream)} counts={stream.counts()}")
+    print(f"simulate: n_events={n_events} counts={run.counts}")
     return written
 
 

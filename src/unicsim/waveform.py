@@ -180,11 +180,21 @@ def _sum_squares(read, i0: int, i1: int, scratch: np.ndarray):
 
 
 def _rms(n: int, read) -> float:
-    """`Waveform.rms` of the n samples that read(i0, i1) returns a leaf of
-    up to _SEGMENT samples at a time."""
+    """`Waveform.rms` of the n finite samples that read(i0, i1) returns a
+    leaf of up to _SEGMENT samples at a time.  Squares past the float64
+    range (samples above about 1.3e154) overflow the sum to inf; only then
+    is the record scaled by its largest magnitude, so every other record
+    keeps the digits of numpy's mean of squares."""
     if n == 0:
         return 0.0
-    return float(np.sqrt(_sum_squares(read, 0, n, np.empty(min(n, _SEGMENT))) / n))
+    scratch = np.empty(min(n, _SEGMENT))
+    with np.errstate(over="ignore"):
+        total = _sum_squares(read, 0, n, scratch)
+    if math.isfinite(total):
+        return float(np.sqrt(total / n))
+    leaves = range(0, n, _SEGMENT)
+    peak = max(float(np.abs(read(i, min(i + _SEGMENT, n))).max()) for i in leaves)
+    return peak * math.sqrt(_sum_squares(lambda i0, i1: read(i0, i1) / peak, 0, n, scratch) / n)
 
 
 def _gate(spec: GateWaveSpec, t: np.ndarray, y: np.ndarray, scratch: np.ndarray | None) -> None:

@@ -36,7 +36,7 @@ from unicsim.acquisition import (
     write_histogram_csv,
     write_timestamps_binary,
 )
-from unicsim.apd import _CHUNK, _blocks
+from unicsim.apd import _CHUNK, simulate_blocks
 
 from conftest import F_G, chain_response, record_bin_grid
 
@@ -202,7 +202,7 @@ EDGE_DET = get_preset("apd1_minus30C")
 def test_block_tdc_matches_tdc_across_block_edges(det, src):
     spec = TdcSpec(resolution=1e-12, dead_time=2e-9)
     tdc_block = acquisition._block_tdc(spec)
-    kept = np.concatenate([tdc_block(time) for _, time, _, _ in _blocks(det, src, EDGE_N_GATES, seed=5)])
+    kept = np.concatenate([tdc_block(time) for _, time, _, _ in simulate_blocks(det, src, EDGE_N_GATES, seed=5)])
     assert np.array_equal(kept, tdc(simulate(det, src, EDGE_N_GATES, seed=5).time, spec))
 
 

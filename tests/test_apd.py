@@ -276,7 +276,7 @@ def test_keys_reject_a_negative_seed_and_a_block_past_one_word():
     with pytest.raises(ValueError, match="non-negative"):
         apd._block_keys(-1)
     with pytest.raises(ValueError, match="2\\*\\*52"):
-        next(apd._blocks(DetectorConfig(), SourceConfig(), (_CHUNK << 32) + 1, 1))
+        next(apd.simulate_blocks(DetectorConfig(), SourceConfig(), (_CHUNK << 32) + 1, 1))
 
 
 # sha256 of simulate's four arrays, recorded when every (block, lane)

@@ -1,20 +1,27 @@
+import contextlib
 import copy
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from unicsim import cli, network, waveform
+from unicsim import _io, acquisition, apd, cli, network, waveform
 from unicsim.acquisition import read_gate_counts_json, read_histogram_csv, read_timestamps_binary
 from unicsim.apd import read_events_csv
 from unicsim.characterize import read_run_report, read_sweep_csv
 from unicsim.network import read_spectrum_csv
 from unicsim.waveform import read_waveform_binary, read_waveform_csv
 
+from test_config import mutations
 from test_golden import CONFIG as GOLDEN_CONFIG
 
 NETWORK = {
@@ -163,6 +170,21 @@ def test_non_finite_record_exits_3_and_leaves_no_file(tmp_path, monkeypatch, cap
     assert not (tmp_path / "out" / "waveform.bin").exists()
 
 
+def test_waveform_rms_of_a_record_past_1e154_volts_is_finite(tmp_path, capsys):
+    # the README example with 1e300 V impulses: their squares overflow float64,
+    # and the printed rms must still be finite, with no overflow warning
+    # (RuntimeWarning is an error under this suite's settings)
+    raw = copy.deepcopy(GOLDEN_CONFIG)
+    raw["waveform"]["impulse_peak"] = 1e300
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["waveform", "-c", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    rms = float(capsys.readouterr().out.splitlines()[0].split("rms_v=")[1])
+    samples = read_waveform_binary(tmp_path / "out" / "waveform.bin").samples
+    peak = np.abs(samples).max()
+    assert 1e295 < rms == pytest.approx(peak * np.sqrt(np.mean((samples / peak) ** 2)), rel=1e-12)
+
+
 def test_simulate_command(tmp_path):
     cfg = write_config(tmp_path, n_gates=1_250_000, detector=DETECTOR, source=SOURCE,
                        acquisition=ACQ0)
@@ -253,6 +275,74 @@ def test_no_command_imports_numpy_ma(tmp_path, command):
 
 
 # ---------------------------------------------------------------------------
+# The streamed simulate subcommand against the library's whole-stream path
+# ---------------------------------------------------------------------------
+
+# Three whole blocks and a partial one, so every run crosses three block edges.
+EDGE_N_GATES = 3 * apd._CHUNK + 12_345
+README_ACQ = GOLDEN_CONFIG["acquisition"]  # a 2 ns TDC dead time
+# A dense pulsed source (R = 2) read with a half-gate offset and no dead
+# time: a stamp of a block's first gate with early jitter maps onto the last
+# gate of the block before, which that block's last stamp can hit too.
+OFFSET_RUN = {"detector": {**DETECTOR, "dark_per_gate": 0.9},
+              "source": {"mode": "pulsed", "laser_rate": 6.25e8, "mu": 5.0, "illuminated_gate_phase": 1},
+              "acquisition": {"tdc": {"resolution": 1e-12, "dead_time": 0.0}, "gate_offset": 4e-10}}
+
+STREAMED = {
+    "carved": {"seed": 5, "detector_preset": "apd1_minus30C", "acquisition": README_ACQ,
+               "source": {"mode": "cw_carved", "laser_rate": 1.25e9, "mu": 3.0}},
+    "pulsed-traps": {"seed": 6, "detector": {**DETECTOR, "traps_per_avalanche": 2.0}, "source": SOURCE,
+                     "acquisition": README_ACQ},
+    "pulsed-offset": {"seed": 12, "emit": ["json"], **OFFSET_RUN},
+}
+
+
+def _digests(root: Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("name", list(STREAMED))
+def test_streamed_simulate_equals_the_whole_stream_path(tmp_path, capsys, name):
+    path = write_config(tmp_path, n_gates=EDGE_N_GATES, **STREAMED[name])
+    assert cli.main(["simulate", "-c", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+
+    cfg = cli.parse("simulate", json.loads(path.read_text()))
+    det, src, acq, n = cfg.detector, cfg.source, cfg.acquisition, cfg.n_gates
+    stream = apd.simulate(det, src, n, cfg.seed)
+    ts = acquisition.tdc(stream.time, acq.tdc)
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    acquisition.write_timestamps_binary(lib / "timestamps.bin", ts)
+    if "csv" in cfg.emit:
+        apd.write_events_csv(lib / "events.csv", stream)
+    summary = {"n_gates": n, "n_events": len(stream), "counts": stream.counts(), "n_timestamps": int(ts.size)}
+    if src.mode == "pulsed":
+        gc = acquisition.classify(ts, det.f_g, apd.pulse_ratio(det, src), src.illuminated_gate_phase, n,
+                                  offset=acq.gate_offset)
+        summary.update(p_i=gc.p_i, p_ni=gc.p_ni)
+    _io.write_json(lib / "summary.json", summary)
+
+    assert _digests(tmp_path / "out") == _digests(lib)
+    assert printed == f"simulate: n_events={len(stream)} counts={stream.counts()}"
+    if name == "pulsed-offset":  # one gate is hit from both sides of a block edge
+        assert ts.size == len(stream)  # no dead time: stamp i is event i's
+        block = stream.gate_index // apd._CHUNK
+        gates = np.rint((ts - acq.gate_offset) * det.f_g)
+        assert np.any((block[1:] > block[:-1]) & (gates[1:] == gates[:-1]))
+
+
+def test_simulate_stamp_before_gate_zero_exits_3_and_leaves_no_file(tmp_path, capsys):
+    # a 2 ns readout offset maps the stamps of the first two gates below gate 0
+    run = {**OFFSET_RUN, "acquisition": {**OFFSET_RUN["acquisition"], "gate_offset": 2e-9}}
+    path = write_config(tmp_path, n_gates=10_000, **run)
+    assert cli.main(["simulate", "-c", str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "runtime", "message": "ValueError: timestamp maps outside [0, n_gates)"}
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
 # Overrides and determinism
 # ---------------------------------------------------------------------------
 
@@ -322,3 +412,21 @@ def test_infeasible_balance_is_config_error(tmp_path):
     assert err["error"] == "config"
     [path] = err["paths"]
     assert path.startswith("network.coupler_tap: ") and "below through arm" in path
+
+
+# ---------------------------------------------------------------------------
+# Property: a mutated README config, run end to end, exits 0 or exits 2 and
+# names the offending paths; it never raises.
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=250, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=mutations(), command=st.sampled_from(list(cli._COMMANDS)))
+def test_mutated_config_runs_or_exits_2_naming_its_paths(cfg, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "-c", path, "--output-dir", os.path.join(tmp, "out")])
+    assert code == 0 or code == 2 and json.loads(err.getvalue())["paths"], err.getvalue()

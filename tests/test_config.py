@@ -58,6 +58,7 @@ DEFECTS = {
     "saw.f_center Infinity": ("design", [(("network", "saw", "f_center"), INF)], "network.saw.f_center"),
     "gate_offset NaN": ("characterize", [(("acquisition", "gate_offset"), NAN)], "acquisition.gate_offset"),
     "pulsed R = 1 simulate": ("simulate", R_ONE, "source.laser_rate"),
+    "n_gates past 2**52": ("simulate", [(("n_gates",), 2 ** 52 + 1)], "n_gates"),
     "pulsed R = 1 characterize": ("characterize", R_ONE, "source.laser_rate"),
     "n_gates below 10 R": ("characterize", [(("n_gates",), 1000)], "n_gates"),
     "n_gates below 10 R sweep": ("sweep", [(("n_gates",), 1000)], "n_gates"),

@@ -66,12 +66,39 @@ def test_count_rate_vs_flux_holds_one_block():
     assert eight <= 1.1 * one
 
 
+def test_one_dense_counting_block_holds_little_more_than_its_events():
+    # flux 3 on every gate clicks about 47% of a block's 2**20 gates: the four
+    # event arrays (8 + 8 + 1 + 8 bytes an event) take about 12 MB, and the
+    # draws, the stamps and the dead-time slices must fit beside them
+    det = presets.get_preset("apd1_minus30C")
+    src = apd.SourceConfig(mode="cw_carved", laser_rate=det.f_g, mu=3.0)
+    _, peak = _traced_peak(characterize._run, det, src, acquisition.TdcSpec(), apd._CHUNK, 1)
+    assert peak <= 16 << 20
+
+
+def _simulate_config(out, n_gates, mu, emit):
+    raw = copy.deepcopy(CONFIG)
+    raw.update(n_gates=n_gates, emit=emit, output_dir=str(out),
+               source={"mode": "cw_carved", "laser_rate": 1.25e9, "mu": mu})
+    return raw
+
+
+def test_streamed_simulate_holds_one_block(tmp_path):
+    # events.csv, timestamps.bin and summary.json are written a block at a time
+    def peak(blocks):
+        raw = _simulate_config(tmp_path / str(blocks), blocks * apd._CHUNK, 0.5, ["csv", "json"])
+        return _traced_peak(cli.cmd_simulate, cli.parse("simulate", raw))[1]
+
+    one = peak(1)
+    assert peak(8) <= 1.1 * one
+
+
 def test_block_keys_do_not_grow_with_the_run():
     det = presets.get_preset("apd1_minus30C")
     src = apd.SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.1)
 
     def first_block(n_gates):
-        return next(apd._blocks(det, src, n_gates, 1))
+        return next(apd.simulate_blocks(det, src, n_gates, 1))
 
     _, short = _traced_peak(first_block, 2**21)
     _, long = _traced_peak(first_block, 2**40)
@@ -152,3 +179,14 @@ def test_waveform_process_peak_stays_under_half_a_record(tmp_path):
     imports = _process_peak_kb("-c", "import unicsim.cli")
     record_kb = 8 * 8_000_000 / 1024
     assert peak - imports < record_kb / 2
+
+
+def test_simulate_process_peak_stays_within_one_block(tmp_path):
+    # 8e6 carved gates at mu = 3: 3.8e6 events, about 95 MB as whole arrays
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_simulate_config(tmp_path / "out", 8_000_000, 3.0, ["json"])))
+    peak = _process_peak_kb("-m", "unicsim", "simulate", "-c", str(path))
+    imports = _process_peak_kb("-c", "import numpy.random, unicsim.cli")
+    # the four event arrays of a block on which every gate fires
+    block_kb = (8 + 8 + 1 + 8) * apd._CHUNK / 1024
+    assert peak - imports < block_kb

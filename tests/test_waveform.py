@@ -403,6 +403,19 @@ def test_rms_equals_numpys_mean_of_squares(leaf, monkeypatch):
         assert Waveform(RATE, 0.0, s).rms() == float(np.sqrt(np.mean(s ** 2))), n
 
 
+@pytest.mark.parametrize("leaf", [128, waveform._SEGMENT])
+def test_rms_of_samples_whose_squares_overflow_is_finite(leaf, monkeypatch):
+    # squares past float64's range (samples above about 1.3e154): the record
+    # is scaled by its largest magnitude, here a power of two, so the mean of
+    # squares is exact up to the scaling of the unscaled record's own rms
+    monkeypatch.setattr(waveform, "_SEGMENT", leaf)
+    s = np.random.default_rng(9).standard_normal(1000)
+    big = s * 2.0 ** 600
+    peak = np.abs(s).max()
+    assert Waveform(RATE, 0.0, big).rms() == pytest.approx(Waveform(RATE, 0.0, s).rms() * 2.0 ** 600, rel=1e-14)
+    assert Waveform(RATE, 0.0, big).rms() == peak * 2.0 ** 600 * math.sqrt(np.mean((s / peak) ** 2))
+
+
 # ---------------------------------------------------------------------------
 # Waveform value semantics and file formats
 # ---------------------------------------------------------------------------
