@@ -267,8 +267,8 @@ def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int,
     total = triggered.size
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate([rng_trap.exponential(det.detrap_tau, keep.size)[keep]
-                              for keep in np.split(triggered, range(_DRAW, total, _DRAW))])
+    offsets = np.concatenate([rng_trap.exponential(det.detrap_tau, min(_DRAW, total - i))[triggered[i:i + _DRAW]]
+                              for i in range(0, total, _DRAW)])
     origin = np.concatenate(origin)
     period = 1.0 / det.f_g
     half_w = 0.5 * det.gate_width
@@ -350,6 +350,7 @@ def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: 
     mu_ln = math.log(det.mean_charge) - 0.5 * sigma_ln ** 2
 
     pending = np.empty(0, dtype=np.int64)  # afterpulse targets beyond the current block
+    occupied = np.zeros(min(n_gates, _CHUNK), dtype=bool)  # a block's gates that fired; cleared after it
     block_keys = _block_keys(seed)
     gens = [np.random.Generator(np.random.Philox(0)) for _ in range(_N_LANES)]  # reset per block
 
@@ -364,31 +365,29 @@ def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: 
 
         g1 = min(g0 + _CHUNK, n_gates)
         m = g1 - g0
-        occupied = np.zeros(m, dtype=bool)
+        occ = occupied[:m]
 
-        # Primary photon avalanches on illuminated gates first, first + r, ...
+        # Primary photon avalanches on illuminated gates first, first + r, ...,
+        # drawn straight into their entries of `occ`
         first = g0 + (phase - g0) % r
-        n_illuminated = len(range(first, g1, r))
-        if p_photon > 0 and n_illuminated:
-            hit = np.empty(n_illuminated, dtype=bool)
+        lit = occ[first - g0::r]
+        if p_photon > 0 and lit.size:
             gen = rng(_LANE_PHOTON)
-            for i in range(0, n_illuminated, _DRAW):
-                np.less(gen.random(min(_DRAW, n_illuminated - i)), p_photon, out=hit[i:i + _DRAW])
-            photon_gates = np.flatnonzero(hit)
-            del hit
-            photon_gates *= r
+            for i in range(0, lit.size, _DRAW):
+                np.less(gen.random(min(_DRAW, lit.size - i)), p_photon, out=lit[i:i + _DRAW])
+            photon_gates = np.flatnonzero(lit)
+            photon_gates *= r  # in place: two more temporaries per block cost maxrate 40 MB of RSS
             photon_gates += first
         else:
             photon_gates = np.empty(0, dtype=np.int64)
-        occupied[photon_gates - g0] = True
 
         # Dark avalanches anywhere a photon did not already fire.
         if det.dark_per_gate > 0:
             hits = _bernoulli_hits(rng(_LANE_DARK), m, det.dark_per_gate)
-            dark_gates = g0 + hits[~occupied[hits]]
+            dark_gates = g0 + hits[~occ[hits]]
         else:
             dark_gates = np.empty(0, dtype=np.int64)
-        occupied[dark_gates - g0] = True
+        occ[dark_gates - g0] = True
 
         # Afterpulses: pending arrivals from earlier blocks, then traps from
         # this block's primary avalanches (first generation only).
@@ -396,8 +395,8 @@ def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: 
         if pending.size:
             arrived = _distinct(pending[pending < g1])
             pending = pending[pending >= g1]
-            afterpulses = arrived[~occupied[arrived - g0]]
-            occupied[afterpulses - g0] = True
+            afterpulses = arrived[~occ[arrived - g0]]
+            occ[afterpulses - g0] = True
         if traps_on and photon_gates.size + dark_gates.size:
             primaries = np.concatenate([photon_gates, dark_gates])
             primaries.sort()
@@ -406,8 +405,7 @@ def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: 
             if cand.size:
                 pending = np.concatenate([pending, cand[cand >= g1]])
                 stay = _distinct(cand[cand < g1])
-                afterpulses = np.concatenate([afterpulses, stay[~occupied[stay - g0]]])
-        del occupied
+                afterpulses = np.concatenate([afterpulses, stay[~occ[stay - g0]]])
 
         # One sort of the gates, each tagged with its kind in the low bits
         # (a gate holds at most one avalanche, so the tags never reorder).
@@ -422,6 +420,9 @@ def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: 
         kinds &= (1 << _KIND_BITS) - 1
         keys >>= _KIND_BITS
         gates = keys
+        gates -= g0
+        occ[gates] = False  # every gate that fired: `occupied` is clear for the next block
+        gates += g0
 
         times = _truncated_normal(rng(_LANE_JITTER), det.jitter_sigma, half_w, gates.size)
         times += gates * period  # the gate centres plus the jitter

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._io import read_csv, read_json, write_csv, write_json
-from .acquisition import _block_tdc, _GateTally, classify, AcquisitionConfig, TdcSpec
+from .acquisition import _block_tdc, classify, AcquisitionConfig, TdcSpec
 from .apd import KIND_NAMES, DetectorConfig, SourceConfig, pulse_ratio, simulate_blocks
 
 __all__ = [
@@ -190,12 +190,12 @@ def _run(det: DetectorConfig, src: SourceConfig, spec: TdcSpec, n_gates: int, se
     tdc_block = _block_tdc(spec)
     kept, by_kind, charge = 0, np.zeros(len(KIND_NAMES), dtype=np.int64), 0.0
     for gates, time, kind, q in simulate_blocks(det, src, n_gates, seed):
-        # count_nonzero, not bincount: bincount widens the kinds to int64
-        by_kind += [np.count_nonzero(kind == code) for code in range(len(KIND_NAMES))]
         charge += float(np.sum(q))
         if events is not None:
             events(gates, time, kind, q)
-        del gates, kind, q
+        del gates, q
+        by_kind += np.bincount(kind, minlength=len(KIND_NAMES))  # widens the kinds to int64, so after the frees
+        del kind
         ts = tdc_block(time)
         del time  # the stamps, unless `ts` is a view of them
         kept += ts.size
@@ -205,19 +205,22 @@ def _run(det: DetectorConfig, src: SourceConfig, spec: TdcSpec, n_gates: int, se
     return _Run(kept, dict(zip(KIND_NAMES, by_kind.tolist())), charge)
 
 
+def _gathered(det: DetectorConfig, src: SourceConfig, spec: TdcSpec, n_gates: int, seed: int) -> _Run:
+    """`_run` that keeps its stamps."""
+    stamps = []
+    return _run(det, src, spec, n_gates, seed, stamps=stamps.append)._replace(stamps=np.concatenate(stamps))
+
+
 def _characterize_streams(det, src, acq, n_gates, seed):
     """(report, laser-on run) for reuse by sweep drivers; the run keeps its stamps."""
     r = _pulsed_ratio(det, src, n_gates)
     seed_on, seed_off = _derived_seeds(seed)
 
-    stamps = []
-    on = _run(det, src, acq.tdc, n_gates, seed_on, stamps=stamps.append)
-    on = on._replace(stamps=np.concatenate(stamps))
+    on = _gathered(det, src, acq.tdc, n_gates, seed_on)
     gc = classify(on.stamps, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
 
-    off = _GateTally(det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
-    _run(det, replace(src, mu=0.0), acq.tdc, n_gates, seed_off, stamps=off.add)
-    gc_off = off.counts()
+    ts_off = _gathered(det, replace(src, mu=0.0), acq.tdc, n_gates, seed_off).stamps
+    gc_off = classify(ts_off, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
     dark_clicks = gc_off.clicks_illuminated + gc_off.clicks_non_illuminated
     p_d = dark_clicks / n_gates
 

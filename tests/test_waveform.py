@@ -405,9 +405,10 @@ def test_rms_equals_numpys_mean_of_squares(leaf, monkeypatch):
 
 @pytest.mark.parametrize("leaf", [128, waveform._SEGMENT])
 def test_rms_of_samples_whose_squares_overflow_is_finite(leaf, monkeypatch):
-    # squares past float64's range (samples above about 1.3e154): the record
-    # is scaled by its largest magnitude, here a power of two, so the mean of
-    # squares is exact up to the scaling of the unscaled record's own rms
+    # squares past float64's range (samples above about 1.3e154) make the
+    # record be scaled by its largest magnitude; `big` is `s` times a power of
+    # two, so its rms is 2**600 times the rescaled rms of `s` exactly, and the
+    # plain rms of `s` to within rounding
     monkeypatch.setattr(waveform, "_SEGMENT", leaf)
     s = np.random.default_rng(9).standard_normal(1000)
     big = s * 2.0 ** 600
