@@ -4,7 +4,8 @@ CSV files are written from columns, byte for byte as the standard library's
 CSV writer with its default dialect writes them: ``\\r\\n`` line ends, and a
 cell holding ``,``, ``"``, ``\\r`` or ``\\n`` wrapped in quotes with its
 quotes doubled (minimal quoting).  JSON files are indented by two spaces and
-end with a newline.
+end with a newline.  Every writer opens its file through `output`, so a
+write that fails leaves no partial file.
 
 The CSV writer lays out each slice of rows in numpy, with no Python call per
 cell.  Every cell becomes a few fixed-width byte segments plus a mask of the
@@ -40,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 
 import numpy as np
 
@@ -71,6 +73,19 @@ def _texts(cells: list, lone: bool) -> list:
     return [_cell(x, lone) for x in cells]
 
 
+@contextlib.contextmanager
+def output(path, mode: str = "w", **kw):
+    """The file `open(path, mode, **kw)`, removed again if the `with` block
+    raises."""
+    fh = open(path, mode, **kw)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Rows
 # ---------------------------------------------------------------------------
@@ -98,7 +113,6 @@ def _n_rows(path, columns) -> int:
 def write_csv(path, header, columns) -> None:
     """Write `header`, then row i holding element i of every column; the
     columns must have one length."""
-    _n_rows(path, columns)  # checked before the file is made
     with csv_rows(path, header) as append:
         append(columns)
 
@@ -109,7 +123,7 @@ def csv_rows(path, header):
     appends the rows of its columns (of one length) after the header, and
     the file holds the bytes that one `write_csv` of the joined columns
     writes."""
-    with open(path, "w", newline="") as fh:
+    with output(path, "w", newline="") as fh:
         out = fh.buffer  # the text layer only names the encoding
         out.write((",".join(_texts(list(header), len(header) == 1)) + "\r\n").encode(fh.encoding))
 
@@ -154,7 +168,7 @@ def read_csv(path, header) -> list[list[str]]:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
+    with output(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 

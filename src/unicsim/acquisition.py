@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._io import read_csv, read_json, write_csv, write_json
+from ._io import output, read_csv, read_json, write_csv, write_json
 from .apd import _distinct
 from .waveform import Waveform
 
@@ -44,13 +44,10 @@ __all__ = [
 class DiscriminatorSpec:
     threshold: float        # volts
     dead_time: float = 0.0  # seconds, non-paralyzable
-    mode: str = "rising-edge"
 
     def __post_init__(self):
         if self.dead_time < 0:
             raise ValueError("dead_time must be >= 0")
-        if self.mode != "rising-edge":
-            raise ValueError("only rising-edge discrimination is supported")
 
 
 @dataclass(frozen=True)
@@ -332,7 +329,7 @@ def write_timestamps_binary(path, ts: np.ndarray) -> None:
 def _timestamps_writer(path):
     """A function that appends stamps to the timestamps file `path`; the
     count goes into its header when the `with` block ends."""
-    with open(path, "wb") as fh:
+    with output(path, "wb") as fh:
         fh.write(struct.pack("<Q", 0))
         n = 0
 

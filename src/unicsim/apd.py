@@ -167,8 +167,8 @@ class ClickProbabilities:
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), ported so that a
-# run mixes its seed words once and derives every (block, lane) key from them
-# by array arithmetic, instead of building one SeedSequence per key.
+# run derives every (block, lane) key from its seed's pool by array
+# arithmetic, instead of building one SeedSequence per key.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
@@ -206,29 +206,13 @@ def _block_keys(seed: int):
 
     The entropy is the seed's uint32 words (zero-padded to the pool size),
     then the block word, then the lane word.  The pool after the seed words
-    is computed once in scalar code; the block and lane words are mixed into
-    it for every (block, lane) at once.
+    is numpy's own, SeedSequence(seed).pool; the block and lane words are
+    mixed into it for every (block, lane) at once.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    # one hashmix per pool slot, one per ordered pair of slots, and one per
-    # slot for each word past the pool
-    n_seed_calls = _POOL_SIZE * len(words)
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # mixing the seed words (at least the pool size) advanced the hash constant once per slot per word
+    n_seed_calls = _POOL_SIZE * max(_POOL_SIZE, -(-int(seed).bit_length() // 32))
     h = _hash_constants(_INIT_A, _MULT_A, n_seed_calls + 2 * _POOL_SIZE)
-    calls = iter(zip(h, h[1:]))
-    pool = [_hashmix(w, *next(calls)) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(calls)))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(w, *next(calls)))
-
-    pool = np.array(pool, dtype=np.uint32)[:, None]
     h = np.array(h[n_seed_calls:], dtype=np.uint32)[:, None]  # 4 calls for the block word, 4 for the lane
     lane_words = _hashmix(np.arange(_N_LANES, dtype=np.uint32), h[4:8], h[5:9])  # (pool, lane)
     g = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)[:, None, None]

@@ -200,7 +200,7 @@ def _checked(errors: list, path: str, check, *args, names=()):
 
 
 def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
-    """Checks that need the detector and the source together."""
+    """Checks that need the detector together with the source or n_gates."""
     if command == "sweep":
         detectors = [s.detector for s in cfg.sweep.scenarios]
     elif command == "characterize" or command == "simulate" and cfg.source.mode == "pulsed":
@@ -210,6 +210,9 @@ def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
     for det in detectors:
         r = _checked(errors, "source", characterize._pulsed_ratio, det, cfg.source,
                      names=SourceConfig.__dataclass_fields__)
+        span = cfg.n_gates / det.f_g  # at an offset this large every stamp maps outside [0, n_gates)
+        if (command != "simulate" or "json" in cfg.emit) and abs(cfg.acquisition.gate_offset) >= span:
+            errors.append(f"acquisition.gate_offset: |gate_offset| must be < n_gates / f_g = {span!r} s")
         if r is None:
             continue
         if command != "simulate":
@@ -374,28 +377,21 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
                                        n_gates, acq.gate_offset)
     # the run is written into its files a block at a time; a failed run leaves none
     written: list[str] = []
-    try:
-        with contextlib.ExitStack() as files:
-            timestamps = _out(cfg, "timestamps.bin", written)
-            write_stamps = files.enter_context(acquisition._timestamps_writer(timestamps))
-            events = None
-            if "csv" in cfg.emit:
-                rows = files.enter_context(_io.csv_rows(_out(cfg, "events.csv", written), apd._EVENTS_HEADER))
+    with contextlib.ExitStack() as files:
+        write_stamps = files.enter_context(acquisition._timestamps_writer(_out(cfg, "timestamps.bin", written)))
+        events = None
+        if "csv" in cfg.emit:
+            rows = files.enter_context(_io.csv_rows(_out(cfg, "events.csv", written), apd._EVENTS_HEADER))
 
-                def events(*block):
-                    rows(apd._event_columns(*block))
+            def events(*block):
+                rows(apd._event_columns(*block))
 
-            def stamps(ts):
-                write_stamps(ts)
-                if tally is not None:
-                    tally.add(ts)
+        def stamps(ts):
+            write_stamps(ts)
+            if tally is not None:
+                tally.add(ts)
 
-            run = characterize._run(det, src, acq.tdc, n_gates, cfg.seed, events, stamps)
-    except BaseException:
-        for path in written:
-            if os.path.exists(path):
-                os.remove(path)
-        raise
+        run = characterize._run(det, src, acq.tdc, n_gates, cfg.seed, events, stamps)
     n_events = sum(run.counts.values())
     if "json" in cfg.emit:
         summary = {"n_gates": n_gates, "n_events": n_events, "counts": run.counts, "n_timestamps": run.kept}

@@ -452,20 +452,16 @@ def solve_unic_delay(t_g_saw: float, f_g: float, coupler_tap: float = 0.9) -> Un
     )
 
 
-def _arm_amplitudes(design: UnicDesign, saw: SawBpf) -> tuple[float, float]:
-    """(filtered-arm amplitude before the balance pad, through-arm amplitude) at f_g."""
-    f_g = np.asarray([design.f_g])
-    saw_mag = float(np.abs(_saw_values(saw, f_g, np.empty(1, dtype=np.complex128), _scratch(1)(1)))[0])
-    return design.coupler_tap * saw_mag, 1.0 - design.coupler_tap
-
-
 def balance_attenuation(design: UnicDesign, saw: SawBpf) -> float:
-    """Attenuation (dB) that equalizes the two arm amplitudes at f_g.
+    """Attenuation (dB) that equalizes the two arm amplitudes at f_g: the
+    filtered arm's before the balance pad, and the through arm's.
 
     Raises BalanceInfeasibleError when the filtered arm is weaker than the
     through arm even without any pad.
     """
-    filt, thru = _arm_amplitudes(design, saw)
+    f_g = np.asarray([design.f_g])
+    saw_mag = float(np.abs(_saw_values(saw, f_g, np.empty(1, dtype=np.complex128), _scratch(1)(1)))[0])
+    filt, thru = design.coupler_tap * saw_mag, 1.0 - design.coupler_tap
     if filt < thru:
         raise BalanceInfeasibleError(
             f"filtered arm amplitude {filt:.6g} is below through arm {thru:.6g} at f_g;"

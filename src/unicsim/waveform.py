@@ -17,13 +17,12 @@ no record-sized array.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import read_csv, write_csv
+from ._io import csv_rows, output, read_csv
 from .network import TwoPortResponse
 
 __all__ = [
@@ -45,7 +44,7 @@ __all__ = [
 
 DEFAULT_SAMPLE_RATE = 40e9  # 32 samples per 1.25 GHz gate period
 
-# Impulse responses are sampled on this many points unless overridden;
+# Impulse responses are sampled on this many points;
 # 2**17 taps at 40 GS/s is a 3.3 us window, far beyond the SAW ring-down.
 DEFAULT_IR_LENGTH = 1 << 17
 _MAX_SINGLE_FFT = 1 << 22
@@ -293,10 +292,6 @@ def _gather(n: int, pieces) -> np.ndarray:
     return out
 
 
-def _gaussian(t: np.ndarray, spec: ImpulseSpec) -> np.ndarray:
-    return spec.peak * np.exp(-4.0 * math.log(2.0) * ((t - spec.onset) / spec.fwhm) ** 2)
-
-
 def _check_resolvable(fwhm: float, rate: float) -> None:
     if fwhm < 4.0 / rate:
         raise ValueError("unresolvable pulse: fwhm shorter than 4 sample intervals")
@@ -310,7 +305,7 @@ def synth_avalanche(spec: ImpulseSpec, rate: float = DEFAULT_SAMPLE_RATE,
         duration = spec.onset + 10.0 * spec.fwhm
     n = max(16, int(round(duration * rate)))
     t = np.arange(n) / rate
-    return Waveform(rate, 0.0, _gaussian(t, spec))
+    return Waveform(rate, 0.0, spec.peak * np.exp(-4.0 * math.log(2.0) * ((t - spec.onset) / spec.fwhm) ** 2))
 
 
 def _impulse_adder(spec: ImpulseSpec, rate: float, t0: float, n: int, times):
@@ -384,22 +379,22 @@ def _check_coverage(resp: TwoPortResponse, rate: float) -> None:
         )
 
 
-def _overlap_add_circular(read, n: int, h: np.ndarray, block: int):
+def _overlap_add_circular(read, n: int, h: np.ndarray):
     """Circular convolution with h, via overlap-add and tail wrap, of the n
-    samples that read(i0, i1) returns a segment at a time, yielded as
-    (start, samples) pieces once final: in order from sample L - 1 on, then
-    the head 0..L - 1 with the linear-convolution tail added to it.  A piece
-    is valid until the next is asked for."""
+    samples that read(i0, i1) returns an L = h.size segment at a time,
+    yielded as (start, samples) pieces once final: in order from sample
+    L - 1 on, then the head 0..L - 1 with the linear-convolution tail added
+    to it.  A piece is valid until the next is asked for."""
     L = h.size
-    nfft = _next_pow2(block + L - 1)
+    nfft = _next_pow2(2 * L - 1)
     hf = np.fft.rfft(h, nfft)
-    acc = np.zeros(block + L - 1)  # samples start .. start + block + L - 1
+    acc = np.zeros(2 * L - 1)  # samples start .. start + 2 L - 1
     head = np.empty(min(L - 1, n))
-    for start in range(0, n, block):
+    for start in range(0, n, L):
         if start:
-            acc[:L - 1] = acc[block:]  # the overlap moves to the front
+            acc[:L - 1] = acc[L:]  # the overlap moves to the front
             acc[L - 1:] = 0.0
-        seg = read(start, min(start + block, n))
+        seg = read(start, min(start + L, n))
         x = np.fft.rfft(seg, nfft)
         x *= hf
         yk = np.fft.irfft(x, nfft)[: seg.size + L - 1]
@@ -414,14 +409,12 @@ def _overlap_add_circular(read, n: int, h: np.ndarray, block: int):
         yield 0, head
 
 
-def _filtered(read, n: int, rate: float, resp: TwoPortResponse, ir_length: int | None = None,
-              block_size: int | None = None):
+def _filtered(read, n: int, rate: float, resp: TwoPortResponse):
     """(start, samples) pieces of the n > 0 samples that read(i0, i1)
     returns, filtered as `apply_response` describes: one piece of the whole
-    record, or the overlap-add pieces past _MAX_SINGLE_FFT samples or when
-    `block_size` is given."""
-    L = ir_length if ir_length is not None else min(DEFAULT_IR_LENGTH, _next_pow2(n))
-    if n <= L and block_size is None:
+    record, or the overlap-add pieces past _MAX_SINGLE_FFT samples."""
+    L = min(DEFAULT_IR_LENGTH, _next_pow2(n))
+    if n <= L:
         # Short record: multiply on its own bin grid, no intermediate FIR.
         bins = np.arange(n // 2 + 1) * (rate / n)
         yield 0, np.fft.irfft(np.fft.rfft(read(0, n)) * _interp_response(resp, bins), n)
@@ -429,29 +422,29 @@ def _filtered(read, n: int, rate: float, resp: TwoPortResponse, ir_length: int |
 
     bins = np.arange(L // 2 + 1) * (rate / L)
     h = np.fft.irfft(_interp_response(resp, bins), L)
-    if block_size is None and n <= _MAX_SINGLE_FFT:
+    if n <= _MAX_SINGLE_FFT:
         yield 0, np.fft.irfft(np.fft.rfft(read(0, n)) * np.fft.rfft(h, n), n)
         return
-    yield from _overlap_add_circular(read, n, h, L if block_size is None else int(block_size))
+    yield from _overlap_add_circular(read, n, h)
 
 
-def apply_response(w: Waveform, resp: TwoPortResponse, *, ir_length: int | None = None,
-                   block_size: int | None = None) -> Waveform:
+def apply_response(w: Waveform, resp: TwoPortResponse) -> Waveform:
     """Filter a record through a two-port response (circular FFT convolution).
 
     The response grid must cover [0, sample_rate/2]; it is linearly
-    interpolated onto the transform bins.  Records longer than the impulse
-    response window are filtered with an `ir_length`-tap sampled impulse
-    response; passing `block_size` forces overlap-add segmentation, which is
-    numerically identical to the single-block path.  The response group
-    delay appears as a (circular) shift of pulse content.
+    interpolated onto the transform bins.  A record of up to
+    DEFAULT_IR_LENGTH samples is filtered on its own bin grid; a longer one
+    with the response sampled as a DEFAULT_IR_LENGTH-tap impulse response,
+    in one FFT up to _MAX_SINGLE_FFT samples and past that by overlap-add
+    segments of that length, which agree with the one FFT to rounding.  The
+    response group delay appears as a (circular) shift of pulse content.
     """
     _check_coverage(resp, w.sample_rate)
     x = w.samples
     if x.size == 0:
         return Waveform(w.sample_rate, w.t0, x)
     return Waveform(w.sample_rate, w.t0,
-                    _gather(x.size, _filtered(_slicer(x), x.size, w.sample_rate, resp, ir_length, block_size)))
+                    _gather(x.size, _filtered(_slicer(x), x.size, w.sample_rate, resp)))
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -483,24 +476,13 @@ def add_noise(w: Waveform, rms: float, seed: int) -> Waveform:
 _CSV_HEADER = ["time_s", "volts"]
 
 
-class _Column:
-    """n values whose slice [i0:i1] is read(i0, i1), as `write_csv` slices a column."""
-
-    def __init__(self, n: int, read):
-        self.n, self.read = n, read
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.read(*rows.indices(self.n)[:2])
-
-
 def _write_csv(path, rate: float, t0: float, n: int, read) -> None:
-    """`write_waveform_csv` of the n samples that read(i0, i1) returns, with
-    `Waveform.times` computed a slice of rows at a time."""
-    times = _Column(n, lambda i0, i1: t0 + np.arange(i0, i1) / rate)
-    write_csv(path, _CSV_HEADER, [times, _Column(n, read)])
+    """`write_waveform_csv` of the n samples that read(i0, i1) returns,
+    appended _SEGMENT rows at a time with their `Waveform.times`."""
+    with csv_rows(path, _CSV_HEADER) as append:
+        for i0 in range(0, n, _SEGMENT):
+            i1 = min(i0 + _SEGMENT, n)
+            append([t0 + np.arange(i0, i1) / rate, read(i0, i1)])
 
 
 def write_waveform_csv(path, w: Waveform) -> None:
@@ -518,19 +500,14 @@ _BIN_HEADER = struct.Struct("<ddQ")
 def _write_binary(path, rate: float, t0: float, n: int, pieces) -> None:
     """`write_waveform_binary` of the n samples that `pieces` yields as
     (start, samples) pieces, each written at its offset as it comes.  A
-    non-finite sample raises ValueError; on any error the file is removed."""
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write(_BIN_HEADER.pack(rate, t0, n))
-            for start, p in pieces:
-                _check_finite(p)
-                fh.seek(_BIN_HEADER.size + 8 * start)
-                # a contiguous little-endian piece is written from its own buffer, uncopied
-                fh.write(np.ascontiguousarray(p, dtype="<f8").data)
-    except BaseException:
-        os.remove(path)
-        raise
+    non-finite sample raises ValueError, and leaves no file."""
+    with output(path, "wb") as fh:
+        fh.write(_BIN_HEADER.pack(rate, t0, n))
+        for start, p in pieces:
+            _check_finite(p)
+            fh.seek(_BIN_HEADER.size + 8 * start)
+            # a contiguous little-endian piece is written from its own buffer, uncopied
+            fh.write(np.ascontiguousarray(p, dtype="<f8").data)
 
 
 def _binary_reader(fh):

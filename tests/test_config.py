@@ -57,6 +57,9 @@ DEFECTS = {
     "network.f_g NaN": ("spectrum", [(("network", "f_g"), NAN)], "network.f_g"),
     "saw.f_center Infinity": ("design", [(("network", "saw", "f_center"), INF)], "network.saw.f_center"),
     "gate_offset NaN": ("characterize", [(("acquisition", "gate_offset"), NAN)], "acquisition.gate_offset"),
+    # |gate_offset| >= n_gates / f_g: every stamp maps outside [0, n_gates)
+    **{f"gate_offset {v} {c}": (c, [(("acquisition", "gate_offset"), v)], "acquisition.gate_offset")
+       for c in ("simulate", "characterize", "sweep") for v in (-1.0, 2e200)},
     "pulsed R = 1 simulate": ("simulate", R_ONE, "source.laser_rate"),
     "n_gates past 2**52": ("simulate", [(("n_gates",), 2 ** 52 + 1)], "n_gates"),
     "pulsed R = 1 characterize": ("characterize", R_ONE, "source.laser_rate"),
@@ -126,6 +129,10 @@ def test_load_presets_names_each_bad_field(tmp_path):
     with pytest.raises(ConfigError) as e:
         load_presets(path)
     assert sorted(p.split(": ", 1)[0] for p in e.value.paths) == ["hot.mean_charge", "hot.typo"]
+
+
+def test_simulate_without_summary_takes_any_gate_offset():
+    cli.parse("simulate", _mutated((("emit",), ["csv"]), (("acquisition", "gate_offset"), -1.0)))
 
 
 def test_int_for_float_is_passed_through():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unicsim import _cells, _io, apd, presets
+from unicsim import _cells, _io, acquisition, apd, presets
 
 FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1]),
@@ -87,6 +87,24 @@ def test_write_csv_rejects_columns_of_different_lengths(tmp_path):
     with pytest.raises(ValueError, match=r"columns differ in length: \[3, 1\]"):
         _io.write_csv(tmp_path / "short.csv", ["a", "b"], [[1, 2, 3], np.array([4.0])])
     assert not (tmp_path / "short.csv").exists()
+
+
+def _ragged_second_block(path):
+    with _io.csv_rows(path, ["a", "b"]) as append:
+        append([np.arange(3), np.arange(3)])
+        append([np.arange(3), np.arange(2)])
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda path: acquisition.write_timestamps_binary(path, ["x"]), ValueError),  # after the 8-byte header
+    (_ragged_second_block, ValueError),  # after the header and 3 rows
+    (lambda path: _io.write_json(path, {"a": object()}), TypeError),  # inside the object
+], ids=["timestamps", "csv blocks", "json"])
+def test_a_failed_write_leaves_no_file(tmp_path, write, error):
+    path = tmp_path / "partial"
+    with pytest.raises(error):
+        write(path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

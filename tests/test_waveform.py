@@ -263,13 +263,14 @@ def test_apply_response_parseval_long_record(saw, design):
     assert measured == pytest.approx(expected, rel=1e-9)
 
 
-def test_overlap_add_equals_single_block(saw, design):
+def test_overlap_add_equals_single_block(saw, design, monkeypatch):
     n = 1 << 18
     rng = np.random.default_rng(7)
     w = Waveform(RATE, 0.0, rng.normal(0.0, 1e-3, n))
     resp = chain_response(design, saw, record_bin_grid(RATE, 1 << 17), stages=2)
     single = apply_response(w, resp)
-    segmented = apply_response(w, resp, block_size=1 << 15)
+    monkeypatch.setattr(waveform, "_MAX_SINGLE_FFT", 1 << 17)
+    segmented = apply_response(w, resp)
     assert rel_rms(segmented.samples, single.samples) < 1e-9
 
 
