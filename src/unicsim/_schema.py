@@ -5,15 +5,21 @@ must have its field's JSON type (a bool is never a number), float fields
 must be finite and int fields non-negative (every config int is a count, an
 index or a seed); unknown and missing keys are errors.  Field errors are
 listed together; `__post_init__` runs once a class's fields built, and its
-`ValueError` is reported as `path: message`."""
+`ValueError` is reported as `path: message`.
+
+A field's range is declared on its type, as `Annotated[float, Bound(...)]`
+(`Positive`, `Probability`, ...) or a `Literal`, and `check_fields` checks
+them all from `__post_init__`, for the library constructors and the config
+reader alike.  Each test is written so that NaN fails it."""
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 from types import NoneType, UnionType
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, Literal, NamedTuple, get_args, get_origin, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -22,6 +28,48 @@ class ConfigError(ValueError):
     def __init__(self, paths):
         self.paths = list(paths)
         super().__init__("; ".join(self.paths))
+
+
+class Bound(NamedTuple):
+    """A field's range: `test(value)` is true inside it; `text` completes "<field> must"."""
+
+    test: Callable[[object], bool]
+    text: str
+
+
+Positive = Annotated[float, Bound(lambda v: v > 0, "be positive")]
+NonNegative = Annotated[float, Bound(lambda v: v >= 0, "be >= 0")]
+Probability = Annotated[float, Bound(lambda v: 0 <= v <= 1, "be a probability in [0, 1]")]
+OpenUnit = Annotated[float, Bound(lambda v: 0 < v < 1, "lie in (0, 1)")]
+Finite = Annotated[float, Bound(math.isfinite, "be finite")]
+
+
+def at_least(n: int):
+    """An int field of at least `n`."""
+    return Annotated[int, Bound(lambda v: v >= n, f"be >= {n}")]
+
+
+_type_hints = functools.cache(functools.partial(get_type_hints, include_extras=True))
+
+
+@functools.cache
+def _bounds(cls) -> list:
+    """(field, test, text) of each bounded or `Literal` field of `cls`."""
+    out = []
+    for name, tp in _type_hints(cls).items():
+        if get_origin(tp) is Annotated:
+            out += [(name, b.test, b.text) for b in tp.__metadata__ if isinstance(b, Bound)]
+        elif get_origin(tp) is Literal:
+            values = get_args(tp)
+            out.append((name, values.__contains__, "be " + " or ".join(map(repr, values))))
+    return out
+
+
+def check_fields(obj) -> None:
+    """Raise `ValueError("<field> must <text>")` for the first field of `obj` outside its bound."""
+    for name, test, text in _bounds(type(obj)):
+        if not test(getattr(obj, name)):
+            raise ValueError(f"{name} must {text}")
 
 
 INVALID = object()
@@ -42,6 +90,8 @@ def build(tp, value, path: str, errors: list):
     """`value` read from JSON as type `tp`; each problem is appended to
     `errors` as `path: message` and makes the result `INVALID`."""
     origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:  # the Bound is checked by the class's `check_fields`
+        return build(args[0], value, path, errors)
     if is_dataclass(tp):
         return _build_dataclass(tp, value, path, errors)
     if origin is UnionType:
@@ -78,9 +128,6 @@ def build(tp, value, path: str, errors: list):
         errors.append(f"{path}: must be >= 0, got {value}")
         return INVALID
     return value
-
-
-_type_hints = functools.cache(get_type_hints)
 
 
 def _build_dataclass(cls, value, path: str, errors: list):

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._io import output, read_csv, read_json, write_csv, write_json
+from ._schema import Finite, NonNegative, Positive, check_fields
 from .apd import _distinct
 from .waveform import Waveform
 
@@ -42,24 +43,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscriminatorSpec:
-    threshold: float        # volts
-    dead_time: float = 0.0  # seconds, non-paralyzable
+    threshold: Finite             # volts
+    dead_time: NonNegative = 0.0  # seconds, non-paralyzable
 
-    def __post_init__(self):
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class TdcSpec:
-    resolution: float = 1e-12  # seconds per timestamp step
-    dead_time: float = 2e-9    # seconds, non-paralyzable
+    resolution: Positive = 1e-12    # seconds per timestamp step
+    dead_time: NonNegative = 2e-9   # seconds, non-paralyzable
 
-    def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
-        if self.dead_time < 0:
-            raise ValueError("dead_time must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -68,9 +63,10 @@ class AcquisitionConfig:
 
     tdc: TdcSpec = TdcSpec()
     discriminator: DiscriminatorSpec = DiscriminatorSpec(threshold=5e-6)
-    gate_offset: float = 0.0  # calibrated readout delay subtracted before gate assignment
+    gate_offset: Finite = 0.0  # calibrated readout delay subtracted before gate assignment
 
     def __post_init__(self):
+        check_fields(self)
         if not isinstance(self.tdc, TdcSpec) or not isinstance(self.discriminator, DiscriminatorSpec):
             raise TypeError("tdc/discriminator must be TdcSpec/DiscriminatorSpec")
 

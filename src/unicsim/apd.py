@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from ._io import Coded, read_csv, write_csv
+from ._schema import NonNegative, Positive, Probability, at_least, check_fields
 
 __all__ = [
     "DetectorConfig",
@@ -62,56 +64,33 @@ _LANE_PHOTON, _LANE_DARK, _LANE_TRAP, _LANE_TRIGGER, _LANE_CHARGE, _LANE_JITTER 
 class DetectorConfig:
     """Gated-detector parameters; probabilities are per gate."""
 
-    f_g: float = 1.25e9                # gate rate, Hz
-    gate_width: float = 1.5e-10        # effective gate width, s
-    eta_gate: float = 0.25             # single-gate photon detection efficiency
-    dark_per_gate: float = 1e-6        # dark avalanche probability per gate
-    mean_charge: float = 3.8e-14       # average avalanche charge, C
-    charge_cv: float = 0.3             # charge coefficient of variation
-    traps_per_avalanche: float = 0.0   # mean trapped carriers per avalanche
-    detrap_tau: float = 2e-9           # trap release time constant, s
-    p_trigger: float = 0.1             # afterpulse trigger probability per released carrier
-    jitter_sigma: float = 5e-11        # avalanche timing spread, s
+    f_g: Positive = 1.25e9                # gate rate, Hz
+    gate_width: float = 1.5e-10           # effective gate width, s
+    eta_gate: Probability = 0.25          # single-gate photon detection efficiency
+    dark_per_gate: Probability = 1e-6     # dark avalanche probability per gate
+    mean_charge: Positive = 3.8e-14       # average avalanche charge, C
+    charge_cv: NonNegative = 0.3          # charge coefficient of variation
+    traps_per_avalanche: NonNegative = 0.0  # mean trapped carriers per avalanche
+    detrap_tau: Positive = 2e-9           # trap release time constant, s
+    p_trigger: Probability = 0.1          # afterpulse trigger probability per released carrier
+    jitter_sigma: NonNegative = 5e-11     # avalanche timing spread, s
 
     def __post_init__(self):
-        if self.f_g <= 0:
-            raise ValueError("f_g must be positive")
+        check_fields(self)
         if not 0 < self.gate_width < 1.0 / self.f_g:
             raise ValueError("gate_width must lie in (0, 1/f_g)")
-        for name in ("eta_gate", "dark_per_gate", "p_trigger"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a probability in [0, 1]")
-        if self.mean_charge <= 0:
-            raise ValueError("mean_charge must be positive")
-        if self.charge_cv < 0:
-            raise ValueError("charge_cv must be >= 0")
-        if self.traps_per_avalanche < 0:
-            raise ValueError("traps_per_avalanche must be >= 0")
-        if self.detrap_tau <= 0:
-            raise ValueError("detrap_tau must be positive")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
 class SourceConfig:
     """Illumination: 10 MHz-style pulsed laser or a gate-synchronous carved train."""
 
-    mode: str = "pulsed"               # "pulsed" | "cw_carved"
-    laser_rate: float = 1e7            # Hz
-    mu: float = 0.1                    # mean photons per illumination pulse
-    illuminated_gate_phase: int = 0    # gate index offset of the illuminated gates
+    mode: Literal["pulsed", "cw_carved"] = "pulsed"
+    laser_rate: Positive = 1e7         # Hz
+    mu: NonNegative = 0.1              # mean photons per illumination pulse
+    illuminated_gate_phase: at_least(0) = 0  # gate index offset of the illuminated gates
 
-    def __post_init__(self):
-        if self.mode not in ("pulsed", "cw_carved"):
-            raise ValueError("mode must be 'pulsed' or 'cw_carved'")
-        if self.laser_rate <= 0:
-            raise ValueError("laser_rate must be positive")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if self.illuminated_gate_phase < 0:
-            raise ValueError("illuminated_gate_phase must be >= 0")
+    __post_init__ = check_fields
 
 
 def pulse_ratio(det: DetectorConfig, src: SourceConfig) -> int:

@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
 from . import _io, acquisition, apd, characterize, network, presets, waveform
-from ._schema import ConfigError, at, build
+from ._schema import (Bound, ConfigError, Finite, NonNegative, OpenUnit, Positive, at, at_least, build,
+                      check_fields)
 from .acquisition import AcquisitionConfig
 from .apd import DetectorConfig, SourceConfig
 from .network import Notch, SawBpf
@@ -38,17 +40,15 @@ EXIT_RUNTIME = 3
 class SpectrumConfig:
     """Grids of spectrum.csv: [f_start, f_stop] coarse, fine_span around f_g fine."""
 
-    f_start: float = 1e8
+    f_start: NonNegative = 1e8
     f_stop: float = 2.5e9
-    coarse_step: float = 1e5
-    fine_step: float = 1e3
-    fine_span: float = 2e6
+    coarse_step: Positive = 1e5
+    fine_step: Positive = 1e3
+    fine_span: Positive = 2e6
 
     def __post_init__(self):
-        network.FrequencyGrid(self.f_start, self.f_stop, 2)  # 0 <= f_start < f_stop
-        for name in ("coarse_step", "fine_step", "fine_span"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self)
+        network.FrequencyGrid(self.f_start, self.f_stop, 2)  # f_start < f_stop
 
 
 @dataclass(frozen=True)
@@ -56,39 +56,31 @@ class NetworkConfig:
     """Readout chain: `stages` balanced interferometers plus an optional band-stop."""
 
     saw: SawBpf
-    f_g: float = 1.25e9
-    coupler_tap: float = 0.9
-    stages: int = 2
+    f_g: Positive = 1.25e9
+    coupler_tap: OpenUnit = 0.9
+    stages: at_least(1) = 2
     band_stop: Notch | None = None
     spectrum: SpectrumConfig = SpectrumConfig()
 
-    def __post_init__(self):
-        if self.f_g <= 0:
-            raise ValueError("f_g must be positive")
-        if not 0 < self.coupler_tap < 1:
-            raise ValueError("coupler_tap must lie in (0, 1)")
-        if self.stages < 1:
-            raise ValueError("stages must be >= 1")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class WaveformConfig:
     """Synthesized record; f_g defaults to network.f_g when filtered, else 1.25 GHz."""
 
-    duration: float = 1e-6
-    sample_rate: float = waveform.DEFAULT_SAMPLE_RATE
+    duration: Finite = 1e-6
+    sample_rate: Finite = waveform.DEFAULT_SAMPLE_RATE
     f_g: float | None = None
-    fundamental_amp: float = 0.42
+    fundamental_amp: Finite = 0.42
     harmonics: tuple[tuple[int, float, float], ...] = ()
     impulse_gate_stride: int = 0
-    impulse_fwhm: float = 1.5e-10
-    impulse_peak: float = 1e-3
-    noise_rms: float = 0.0
+    impulse_fwhm: Finite = 1.5e-10
+    impulse_peak: Finite = 1e-3
+    noise_rms: NonNegative = 0.0
     filtered: bool = True
 
-    def __post_init__(self):
-        if self.noise_rms < 0:
-            raise ValueError("noise_rms must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -101,11 +93,9 @@ class Scenario:
 class SweepConfig:
     """Scenarios are preset names until `parse` resolves them to `Scenario`s."""
 
-    scenarios: tuple[str | Scenario, ...]
+    scenarios: Annotated[tuple[str | Scenario, ...], Bound(lambda s: len(s) >= 2, "list at least 2 entries")]
 
-    def __post_init__(self):
-        if len(self.scenarios) < 2:
-            raise ValueError("scenarios must list at least 2 entries")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -213,6 +203,9 @@ def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
         span = cfg.n_gates / det.f_g  # at an offset this large every stamp maps outside [0, n_gates)
         if (command != "simulate" or "json" in cfg.emit) and abs(cfg.acquisition.gate_offset) >= span:
             errors.append(f"acquisition.gate_offset: |gate_offset| must be < n_gates / f_g = {span!r} s")
+        if command != "simulate" and -math.expm1(-cfg.source.mu * det.eta_gate) == 1.0:
+            errors.append("source.mu: mu * eta_gate so large that every illuminated gate clicks "
+                          "(1 - exp(-mu * eta_gate) rounds to 1): eta_net has no finite value")
         if r is None:
             continue
         if command != "simulate":

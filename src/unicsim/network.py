@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Literal
 
 import numpy as np
 
 from ._io import read_csv, write_csv, write_json
+from ._schema import Finite, NonNegative, OpenUnit, Positive, at_least, check_fields
 
 __all__ = [
     "FrequencyGrid",
@@ -59,17 +61,14 @@ _BLOCK = 1 << 16
 class FrequencyGrid:
     """Uniform frequency grid in Hz over [f_start, f_stop] with n_points."""
 
-    f_start: float
+    f_start: NonNegative
     f_stop: float
-    n_points: int
+    n_points: at_least(2)
 
     def __post_init__(self):
-        if self.f_start < 0:
-            raise ValueError("f_start must be >= 0")
-        if self.f_stop <= self.f_start:
+        check_fields(self)
+        if not self.f_stop > self.f_start:
             raise ValueError("f_stop must exceed f_start")
-        if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
 
     @property
     def step(self) -> float:
@@ -98,32 +97,24 @@ class Coupler:
     amplitude sqrt(tap_fraction) for "tap", sqrt(1 - tap_fraction) for "through".
     """
 
-    tap_fraction: float
-    port: str = "tap"
+    tap_fraction: OpenUnit
+    port: Literal["tap", "through"] = "tap"
 
-    def __post_init__(self):
-        if not 0.0 < self.tap_fraction < 1.0:
-            raise ValueError("tap_fraction must be in (0, 1)")
-        if self.port not in ("tap", "through"):
-            raise ValueError("port must be 'tap' or 'through'")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class Attenuator:
-    loss: float  # dB, >= 0 for a passive pad
+    loss: Finite  # dB, >= 0 for a passive pad
 
-    def __post_init__(self):
-        if not math.isfinite(self.loss):
-            raise ValueError("loss must be finite")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class Delay:
-    t: float  # seconds
+    t: Finite  # seconds
 
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError("delay must be finite")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -135,32 +126,20 @@ class SawBpf:
     linear with slope -2*pi*group_delay.
     """
 
-    f_center: float        # Hz
-    passband_20db: float   # Hz, full width at -20 dB
-    insertion_loss: float  # dB
-    group_delay: float     # seconds
+    f_center: Positive        # Hz
+    passband_20db: Positive   # Hz, full width at -20 dB
+    insertion_loss: Finite    # dB
+    group_delay: NonNegative  # seconds
 
-    def __post_init__(self):
-        if self.f_center <= 0:
-            raise ValueError("f_center must be positive")
-        if self.passband_20db <= 0:
-            raise ValueError("passband_20db must be positive")
-        if not math.isfinite(self.insertion_loss):
-            raise ValueError("insertion_loss must be finite")
-        if self.group_delay < 0:
-            raise ValueError("group_delay must be >= 0")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class Amplifier:
-    gain: float       # dB
-    bandwidth: float  # Hz, single-pole low-pass corner
+    gain: Finite          # dB
+    bandwidth: Positive   # Hz, single-pole low-pass corner
 
-    def __post_init__(self):
-        if not math.isfinite(self.gain):
-            raise ValueError("gain must be finite")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -172,17 +151,11 @@ class Notch:
     symmetry) and deeper in between.
     """
 
-    f_center: float    # Hz
-    depth: float       # dB, rejection at the band edges
-    width_10db: float  # Hz
+    f_center: Positive    # Hz
+    depth: Positive       # dB, rejection at the band edges
+    width_10db: Positive  # Hz
 
-    def __post_init__(self):
-        if self.f_center <= 0:
-            raise ValueError("f_center must be positive")
-        if self.depth <= 0:
-            raise ValueError("depth must be positive")
-        if self.width_10db <= 0:
-            raise ValueError("width_10db must be positive")
+    __post_init__ = check_fields
 
 
 BlockSpec = Coupler | Attenuator | Delay | SawBpf | Amplifier | Notch
@@ -192,25 +165,18 @@ BlockSpec = Coupler | Attenuator | Delay | SawBpf | Amplifier | Notch
 class UnicDesign:
     """Interferometer design point: f_g * (t_g_saw + delta_t) = n + 1/2."""
 
-    f_g: float
-    t_g_saw: float
-    n: int
+    f_g: Positive
+    t_g_saw: NonNegative
+    n: at_least(0)
     delta_t: float
-    att_balance_db: float = 0.0
-    coupler_tap: float = 0.9
+    att_balance_db: Finite = 0.0
+    coupler_tap: OpenUnit = 0.9
     half_wave_warning: bool = False
 
     def __post_init__(self):
-        if self.f_g <= 0:
-            raise ValueError("f_g must be positive")
-        if self.t_g_saw < 0:
-            raise ValueError("t_g_saw must be >= 0")
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
+        check_fields(self)
         if not 0.0 <= self.delta_t < 1.0 / self.f_g:
             raise ValueError("delta_t must lie in [0, 1/f_g)")
-        if not 0.0 < self.coupler_tap < 1.0:
-            raise ValueError("coupler_tap must be in (0, 1)")
         target = (self.n + 0.5) / self.f_g
         if abs(target - (self.t_g_saw + self.delta_t)) > 1e-12 * target:
             raise ValueError("t_g_saw + delta_t must equal (n + 1/2)/f_g")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import csv_rows, output, read_csv
+from ._schema import Finite, NonNegative, Positive, check_fields
 from .network import TwoPortResponse
 
 __all__ = [
@@ -56,13 +57,12 @@ _SEGMENT = 1 << 17  # samples synthesized at once, and squared at once by Wavefo
 class Waveform:
     """Uniformly sampled real voltage trace."""
 
-    sample_rate: float  # Hz
-    t0: float           # seconds
+    sample_rate: Positive  # Hz
+    t0: float              # seconds
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        check_fields(self)
         s = np.asarray(self.samples, dtype=np.float64).view()  # read-only without freezing the caller's array
         if s.ndim != 1:
             raise ValueError("samples must be one-dimensional")
@@ -99,15 +99,12 @@ class GateWaveSpec:
     harmonics: tuple of (order, amplitude_v, phase_rad) with orders >= 2.
     """
 
-    f_g: float
-    fundamental_amp: float
+    f_g: Positive
+    fundamental_amp: NonNegative
     harmonics: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self):
-        if self.f_g <= 0:
-            raise ValueError("f_g must be positive")
-        if self.fundamental_amp < 0:
-            raise ValueError("fundamental_amp must be >= 0")
+        check_fields(self)
         orders = [h[0] for h in self.harmonics]
         if any(o < 2 for o in orders):
             raise ValueError("harmonics must have orders >= 2")
@@ -123,15 +120,11 @@ class GateWaveSpec:
 class ImpulseSpec:
     """Gaussian avalanche impulse."""
 
-    fwhm: float   # seconds
-    peak: float   # volts
-    onset: float = 0.0  # seconds, pulse center
+    fwhm: Positive       # seconds
+    peak: Positive       # volts
+    onset: Finite = 0.0  # seconds, pulse center
 
-    def __post_init__(self):
-        if self.fwhm <= 0:
-            raise ValueError("fwhm must be positive")
-        if self.peak <= 0:
-            raise ValueError("peak must be positive")
+    __post_init__ = check_fields
 
     @property
     def area(self) -> float:

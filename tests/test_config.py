@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from test_golden import CONFIG as README
 
 from unicsim import cli, load_presets
-from unicsim.cli import ConfigError
+from unicsim.acquisition import AcquisitionConfig, DiscriminatorSpec, TdcSpec
+from unicsim.apd import DetectorConfig, SourceConfig
+from unicsim.cli import ConfigError, NetworkConfig, SpectrumConfig, WaveformConfig
+from unicsim.network import (Amplifier, Attenuator, Coupler, Delay, FrequencyGrid, Notch, SawBpf,
+                             UnicDesign)
+from unicsim.waveform import GateWaveSpec, ImpulseSpec
 
 
 def _set(cfg, path, value):
@@ -60,6 +65,9 @@ DEFECTS = {
     # |gate_offset| >= n_gates / f_g: every stamp maps outside [0, n_gates)
     **{f"gate_offset {v} {c}": (c, [(("acquisition", "gate_offset"), v)], "acquisition.gate_offset")
        for c in ("simulate", "characterize", "sweep") for v in (-1.0, 2e200)},
+    # mu * eta_gate so large that 1 - exp(-mu * eta_gate) rounds to 1: every illuminated gate clicks
+    **{f"source.mu {v} {c}": (c, [(("source", "mu"), v)], "source.mu")
+       for c in ("characterize", "sweep") for v in (1e308, 200)},
     "pulsed R = 1 simulate": ("simulate", R_ONE, "source.laser_rate"),
     "n_gates past 2**52": ("simulate", [(("n_gates",), 2 ** 52 + 1)], "n_gates"),
     "pulsed R = 1 characterize": ("characterize", R_ONE, "source.laser_rate"),
@@ -75,6 +83,7 @@ DEFECTS = {
     "histogram_bin not dividing R/f_g": ("characterize", [(("histogram_bin",), 3e-11)], "histogram_bin"),
     "negative seed": ("design", [(("seed",), -1)], "seed"),
     "negative noise_rms": ("waveform", [(("waveform", "noise_rms"), -1e-6)], "waveform.noise_rms"),
+    "unknown source.mode": ("simulate", [(("source", "mode"), "chopped")], "source.mode"),
     "cw_carved source characterize": ("characterize", [(("source", "mode"), "cw_carved")], "source.mode"),
     "illuminated_gate_phase >= R": (
         "characterize", [(("source", "illuminated_gate_phase"), 125)], "source.illuminated_gate_phase"),
@@ -135,9 +144,80 @@ def test_simulate_without_summary_takes_any_gate_offset():
     cli.parse("simulate", _mutated((("emit",), ["csv"]), (("acquisition", "gate_offset"), -1.0)))
 
 
+def test_mu_short_of_saturation_parses():
+    for command in ("characterize", "sweep"):
+        assert cli.parse(command, _mutated((("source", "mu"), 50))).source.mu == 50
+
+
 def test_int_for_float_is_passed_through():
     cfg = cli.parse("characterize", _mutated((("source", "mu"), 1)))
     assert cfg.source.mu == 1 and type(cfg.source.mu) is int
+
+
+# ---------------------------------------------------------------------------
+# Field bounds of the library constructors: NaN and an out-of-range value
+# each raise a ValueError that opens with the field's name.
+# ---------------------------------------------------------------------------
+
+SAW = {"f_center": 1.25e9, "passband_20db": 35e6, "insertion_loss": 3.0, "group_delay": 3e-7}
+UNIC = {"f_g": 1.25e9, "t_g_saw": 0.0, "n": 0, "delta_t": 4e-10}  # (0 + 1/2) / f_g = 0.4 ns
+
+# (class, its other arguments, field, a value outside the field's range)
+BOUNDS = [
+    (DetectorConfig, {}, "eta_gate", 1.5),
+    (DetectorConfig, {}, "mean_charge", 0.0),
+    (DetectorConfig, {}, "gate_width", 1e-9),
+    (DetectorConfig, {}, "jitter_sigma", -1e-12),
+    (SourceConfig, {}, "mu", -0.1),
+    (SourceConfig, {}, "mode", "chopped"),
+    (SourceConfig, {}, "illuminated_gate_phase", -1),
+    (TdcSpec, {}, "resolution", 0.0),
+    (DiscriminatorSpec, {"threshold": 5e-6}, "dead_time", -1e-9),
+    (DiscriminatorSpec, {}, "threshold", INF),
+    (AcquisitionConfig, {}, "gate_offset", -INF),
+    (FrequencyGrid, {"f_stop": 1e9, "n_points": 3}, "f_start", -1.0),
+    (FrequencyGrid, {"f_start": 0.0, "n_points": 3}, "f_stop", 0.0),
+    (FrequencyGrid, {"f_start": 0.0, "f_stop": 1e9}, "n_points", 1),
+    (Coupler, {}, "tap_fraction", 1.0),
+    (Coupler, {"tap_fraction": 0.5}, "port", "tee"),
+    (Attenuator, {}, "loss", INF),
+    (Delay, {}, "t", -INF),
+    (SawBpf, SAW, "f_center", 0.0),
+    (SawBpf, SAW, "group_delay", -1e-9),
+    (Amplifier, {"gain": 20.0}, "bandwidth", -1.0),
+    (Notch, {"f_center": 1.25e9, "depth": 10.0}, "width_10db", 0.0),
+    (UnicDesign, UNIC, "coupler_tap", 0.0),
+    (UnicDesign, UNIC, "n", -1),
+    (UnicDesign, UNIC, "delta_t", 1e-9),
+    (GateWaveSpec, {"fundamental_amp": 0.42}, "f_g", -1.0),
+    (ImpulseSpec, {"peak": 1e-3}, "fwhm", 0.0),
+    (ImpulseSpec, {"fwhm": 1.5e-10, "peak": 1e-3}, "onset", INF),
+    (SpectrumConfig, {}, "fine_step", 0.0),
+    (SpectrumConfig, {}, "f_start", -1.0),
+    (NetworkConfig, {"saw": SawBpf(**SAW)}, "coupler_tap", 1.0),
+    (NetworkConfig, {"saw": SawBpf(**SAW)}, "stages", 0),
+    (WaveformConfig, {}, "noise_rms", -1e-6),
+    (WaveformConfig, {}, "duration", INF),
+]
+
+PINNED = {
+    "eta_gate": "eta_gate must be a probability in [0, 1]",
+    "mean_charge": "mean_charge must be positive",
+    "gate_width": "gate_width must lie in (0, 1/f_g)",
+    "mode": "mode must be 'pulsed' or 'cw_carved'",
+    "port": "port must be 'tap' or 'through'",
+}
+
+
+@pytest.mark.parametrize("cls, args, field, bad", BOUNDS,
+                         ids=[f"{c.__name__}.{f}" for c, _, f, _ in BOUNDS])
+def test_constructor_rejects_nan_and_out_of_range_naming_the_field(cls, args, field, bad):
+    for value in (NAN, bad):
+        with pytest.raises(ValueError) as e:
+            cls(**{**args, field: value})
+        assert str(e.value).startswith(f"{field} must "), (value, str(e.value))
+        if field in PINNED:
+            assert str(e.value) == PINNED[field]
 
 
 # ---------------------------------------------------------------------------
