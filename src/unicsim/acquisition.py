@@ -100,8 +100,6 @@ class GateCounts:
 
 
 _DEAD_TIME_SLICE = 1 << 16
-_MAX_PASSES = 256  # lock-step passes per slice that still beat walking it click by click
-_WALK_PIECE = 1 << 12  # clicks of a walked slice turned into Python floats at once
 
 
 def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
@@ -109,14 +107,13 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
 
     A click is kept when it is at or past `next_ok`, the window end of the
     last kept click.  The array is cut in slices of `_DEAD_TIME_SLICE`,
-    which carry `next_ok` across.  In a slice, a click at or past the window
-    end of the click before it is always kept; the clusters between such
-    clicks are resolved together, each pass jumping every cluster from its
-    last kept click to the first click past that click's window
-    (`searchsorted`).  A cluster keeps at most one click per dead time of
-    its span, so a slice whose longest cluster spans more than `_MAX_PASSES`
-    dead times (a saturated stream, where no gap reaches the dead time) is
-    walked click by click instead, `_WALK_PIECE` clicks at a time.
+    which carry `next_ok` across.  In a slice, the first click and every
+    click at or past the window end of the click before it are sure to be
+    kept.  A kept click's successor is the first click at or past its
+    window end, so the kept clicks are the paths from the sure clicks along
+    successors; they are found by pointer doubling, each round following
+    every path as far again as the last, so a slice takes log2 of its
+    longest path between sure clicks in rounds.
     """
     if dead_time <= 0 or times.size == 0:
         return times
@@ -128,31 +125,26 @@ def _apply_dead_time(times: np.ndarray, dead_time: float) -> np.ndarray:
         part = part[np.searchsorted(part, next_ok):]
         if part.size == 0:
             continue
-        keep = np.empty(part.size, dtype=bool)
-        keep[0] = True
-        np.greater_equal(part[1:], part[:-1] + dead_time, out=keep[1:])
-        firsts = np.flatnonzero(keep)
-        ends = np.append(firsts[1:], part.size)  # each cluster ends at the next sure click
-        spans = part[ends - 1]
-        spans -= part[firsts]  # in place: the out-of-place form raised maxrate's peak RSS by 49 MB
-        if spans.max() > _MAX_PASSES * dead_time:
-            for i in range(0, part.size, _WALK_PIECE):
-                walk = []
-                for t in part[i:i + _WALK_PIECE].tolist():
-                    if t >= next_ok:
-                        walk.append(t)
-                        next_ok = t + dead_time
-                kept[n_kept:n_kept + len(walk)] = walk
-                n_kept += len(walk)
-            continue
-        busy = ends - firsts > 1
-        cur, end = firsts[busy], ends[busy]
-        while cur.size:
-            nxt = np.searchsorted(part, part[cur] + dead_time)
-            on = nxt < end
-            cur, end = nxt[on], end[on]
-            keep[cur] = True
-        part = part[keep]
+        keep = np.ones(part.size + 1, dtype=bool)  # the slice end, index part.size, counts as kept
+        np.greater_equal(part[1:], part[:-1] + dead_time, out=keep[1:-1])
+        busy = np.flatnonzero(~keep[1:])  # clicks whose next click falls in their window
+        stop = part[busy] + dead_time
+        succ = busy + 2
+        clicks = np.append(part, np.inf)  # the slice end lies past every window
+        for _ in range(2):  # most successors lie two or three clicks on: step there, search past
+            succ += clicks[succ] < stop
+        far = clicks[succ] < stop
+        succ[far] = np.searchsorted(part, stop[far])
+        jump = np.append(np.arange(1, part.size + 1), part.size)  # successors; the slice end maps to itself
+        jump[busy] = succ
+        reach = np.flatnonzero(keep[:-1] & ~keep[1:])  # the sure clicks that start a path
+        while reach.size:
+            nxt = jump[reach]
+            new = ~keep[nxt]
+            keep[nxt] = True
+            reach = np.concatenate((reach[new], nxt[new]))  # a path that met a kept click is done
+            jump = jump[jump]
+        part = part[keep[:-1]]
         next_ok = part[-1] + dead_time
         kept[n_kept:n_kept + part.size] = part
         n_kept += part.size

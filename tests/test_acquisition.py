@@ -155,16 +155,11 @@ def _dense_ties(seed, n):
     (np.sort(np.concatenate([_dense_times(77, 150_000), 1.3e-4 + _dense_times(78, 150_000, 1.0)])), 2e-9),
 ], ids=["dense", "dense-ties", "one-cluster", "saturated", "evenly-spaced", "dense-then-saturated"])
 @pytest.mark.parametrize("slice_len", [None, 7, 64])
-@pytest.mark.parametrize("max_passes", [None, 0])
-def test_dead_time_matches_reference_on_dense_streams(times, dead_time, slice_len, max_passes,
-                                                       monkeypatch):
+def test_dead_time_matches_reference_on_dense_streams(times, dead_time, slice_len, monkeypatch):
     # Slices of 7 and 64 cut through clusters, and through whole slices that
-    # lie inside one click's window.  Saturated slices are walked click by
-    # click; `max_passes` 0 walks every slice that holds a cluster.
+    # lie inside one click's window.
     if slice_len is not None:
         monkeypatch.setattr(acquisition, "_DEAD_TIME_SLICE", slice_len)
-    if max_passes is not None:
-        monkeypatch.setattr(acquisition, "_MAX_PASSES", max_passes)
     out = _apply_dead_time(times, dead_time)
     assert out.tobytes() == _dead_time_reference(times, dead_time).tobytes()
 

@@ -270,16 +270,17 @@ def test_count_rate_vs_flux_charge_recovery():
     assert q == pytest.approx(3.8e-14, abs=3 * sigma)
 
 
-@pytest.mark.parametrize("dead_time, flux", [
-    (2e-9, 3.0),     # the README's dead time: two whole gates hidden, about 303 MC/s
-    (0.4e-9, 3.87),  # under one gate period, at the paper's 700 MC/s
-], ids=["2ns", "0.4ns"])
-def test_count_rate_vs_flux_matches_renewal_oracle(dead_time, flux):
+@pytest.mark.parametrize("dead_time, flux, seed", [
+    (2e-9, 3.0, 2028),     # the README's dead time: two whole gates hidden, about 303 MC/s
+    (0.4e-9, 3.87, 2028),  # under one gate period, at the paper's 700 MC/s
+    (2e-9, 30.0, 3030),    # saturated: nearly every gate clicks, about 416 MC/s
+], ids=["2ns", "0.4ns", "saturated"])
+def test_count_rate_vs_flux_matches_renewal_oracle(dead_time, flux, seed):
     # no traps and no dark counts: the renewal model is then the whole process
     det = replace(get_preset("apd1_minus30C"), traps_per_avalanche=0.0, dark_per_gate=0.0)
     acq = AcquisitionConfig(tdc=TdcSpec(resolution=1e-12, dead_time=dead_time))
     n = 12_500_000
-    point = count_rate_vs_flux(det, acq, [flux], n, seed=2028).points[0]
+    point = count_rate_vs_flux(det, acq, [flux], n, seed=seed).points[0]
     clicks = point.rate_hz / det.f_g * n
     model = renewal_clicks_per_gate(det, flux, dead_time)
     p, k = -math.expm1(-flux * det.eta_gate), math.floor(dead_time * det.f_g)
