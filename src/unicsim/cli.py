@@ -41,7 +41,7 @@ class SpectrumConfig:
     """Grids of spectrum.csv: [f_start, f_stop] coarse, fine_span around f_g fine."""
 
     f_start: NonNegative = 1e8
-    f_stop: float = 2.5e9
+    f_stop: Finite = 2.5e9
     coarse_step: Positive = 1e5
     fine_step: Positive = 1e3
     fine_span: Positive = 2e6

@@ -53,8 +53,10 @@ __all__ = [
 # Magnitudes below this floor (relative to 1) are treated as numerical zero
 # when converting to dB, so exports stay finite.
 _MAG_FLOOR = 1e-150
-# Grid points evaluated at once: each complex temporary of a block is 1 MB.
-_BLOCK = 1 << 16
+# Grid points evaluated at once.  Each complex temporary of a block is
+# 64 KB, below glibc's 128 KB mmap threshold, so it comes from the heap;
+# larger blocks map and fault in fresh pages for every temporary.
+_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class FrequencyGrid:
     """Uniform frequency grid in Hz over [f_start, f_stop] with n_points."""
 
     f_start: NonNegative
-    f_stop: float
+    f_stop: Finite
     n_points: at_least(2)
 
     def __post_init__(self):
@@ -225,66 +227,36 @@ class BalanceInfeasibleError(ValueError):
 # Block evaluation
 # ---------------------------------------------------------------------------
 
-def _phase(f: np.ndarray, t: float, out: np.ndarray) -> np.ndarray:
-    """exp(-2j*pi*f*t), computed in `out`."""
-    np.multiply(-2j * np.pi, f, out=out)
-    out *= t
-    return np.exp(out, out=out)
+def _phase(f: np.ndarray, t: float) -> np.ndarray:
+    """exp(-2j*pi*f*t)."""
+    return np.exp(-2j * np.pi * f * t)
 
 
-def _scratch(size: int):
-    """view(m): scratch of m <= size points for the part evaluators below:
-    floats x and y, two bool masks, and a complex z that holds the memory of
-    x and y, so an evaluator writes z only once done with x and y."""
-    z = np.empty(size, dtype=np.complex128)
-    masks = np.empty((2, size), dtype=bool)
-
-    def view(m: int) -> tuple:
-        w = z[:m].view(np.float64)
-        return w[:m], w[m:], masks[0, :m], masks[1, :m], z[:m]
-
-    return view
-
-
-def _saw_values(b: SawBpf, f: np.ndarray, out: np.ndarray, scratch: tuple) -> np.ndarray:
-    x, y, off, stop, _ = scratch
+def _saw_values(b: SawBpf, f: np.ndarray) -> np.ndarray:
     # 3-dB width of the order-4 band-pass that puts the -20 dB points
     # passband_20db apart: x_20 = 99**(1/8).
     b3 = b.passband_20db / 99.0 ** 0.125
-    np.multiply(f, f, out=x)
-    x -= b.f_center * b.f_center
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(x, np.multiply(f, b3, out=y), out=x)
-        np.copyto(x, np.inf, where=np.invert(np.greater(f, 0, out=off), out=off))
-        np.invert(np.isfinite(x, out=stop), out=stop)
-        mag = np.power(x, 8, out=x)
-        mag += 1.0
-        np.sqrt(mag, out=mag)
-        np.divide(10.0 ** (-b.insertion_loss / 20.0), mag, out=mag)
-    np.copyto(mag, 0.0, where=stop)
-    v = _phase(f, b.group_delay, out)
-    return np.multiply(mag, v, out=v)
+        x = (f * f - b.f_center * b.f_center) / (f * b3)
+        x = np.where(f > 0, x, np.inf)
+        mag = 10.0 ** (-b.insertion_loss / 20.0) / np.sqrt(1.0 + x ** 8)
+    mag = np.where(np.isfinite(x), mag, 0.0)
+    return mag * _phase(f, b.group_delay)
 
 
-def _notch_values(b: Notch, f: np.ndarray, out: np.ndarray, scratch: tuple) -> np.ndarray:
-    x, y, m, pos, _ = scratch
+def _notch_values(b: Notch, f: np.ndarray) -> np.ndarray:
     x_edge = 1.0 / math.sqrt(10.0 ** (b.depth / 10.0) - 1.0)
     q = x_edge * b.f_center / b.width_10db
-    np.multiply(f, f, out=x)
-    x -= b.f_center * b.f_center
-    x *= q
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(x, np.multiply(f, b.f_center, out=y), out=x)
-    np.isfinite(x, out=m)
-    m &= np.greater(f, 0, out=pos)
-    out.fill(1.0)
+        x = q * (f * f - b.f_center * b.f_center) / (f * b.f_center)
+    m = np.isfinite(x) & (f > 0)
+    out = np.ones(f.shape, dtype=np.complex128)
     # causal RLC phase: lag above, lead below f_center
-    np.subtract(x, 1j, out=out, where=m)
-    return np.divide(x, out, out=out, where=m)
+    out[m] = x[m] / (x[m] - 1j)
+    return out
 
 
-def _unic_values(design: UnicDesign, saw: SawBpf, f: np.ndarray, out: np.ndarray,
-                 scratch: tuple) -> np.ndarray:
+def _unic_values(design: UnicDesign, saw: SawBpf, f: np.ndarray) -> np.ndarray:
     if not isinstance(saw, SawBpf):
         raise TypeError("saw must be a SawBpf block")
     if not math.isclose(design.t_g_saw, saw.group_delay, rel_tol=1e-9, abs_tol=1e-15):
@@ -293,81 +265,59 @@ def _unic_values(design: UnicDesign, saw: SawBpf, f: np.ndarray, out: np.ndarray
         )
     tap = design.coupler_tap
     pad = 10.0 ** (-design.att_balance_db / 20.0)
-    v = _saw_values(saw, f, out, scratch)
-    np.multiply(tap * pad, v, out=v)
-    v *= _phase(f, design.delta_t, scratch[4])
-    v += 1.0 - tap  # the flat through arm
-    return v
+    # the flat through arm plus the filtered arm
+    return (1.0 - tap) + tap * pad * _saw_values(saw, f) * _phase(f, design.delta_t)
 
 
-def _block_values(block, f: np.ndarray, out: np.ndarray, scratch: tuple) -> np.ndarray:
-    """Values at `f`, written into `out`, of a network block or of a
-    (UnicDesign, SawBpf) interferometer."""
+def _block_values(block, f: np.ndarray) -> np.ndarray:
+    """Values at `f` of a network block or of a (UnicDesign, SawBpf)
+    interferometer."""
     if isinstance(block, tuple):
-        return _unic_values(*block, f, out, scratch)
+        return _unic_values(*block, f)
     if isinstance(block, Coupler):
-        out.fill(math.sqrt(block.tap_fraction if block.port == "tap" else 1.0 - block.tap_fraction))
-        return out
+        amp = math.sqrt(block.tap_fraction if block.port == "tap" else 1.0 - block.tap_fraction)
+        return np.full(f.shape, amp, dtype=np.complex128)
     if isinstance(block, Attenuator):
-        out.fill(10.0 ** (-block.loss / 20.0))
-        return out
+        return np.full(f.shape, 10.0 ** (-block.loss / 20.0), dtype=np.complex128)
     if isinstance(block, Delay):
-        return _phase(f, block.t, out)
+        return _phase(f, block.t)
     if isinstance(block, SawBpf):
-        return _saw_values(block, f, out, scratch)
+        return _saw_values(block, f)
     if isinstance(block, Amplifier):
-        np.multiply(1j, f, out=out)
-        out /= block.bandwidth
-        out += 1.0
-        return np.divide(10.0 ** (block.gain / 20.0), out, out=out)
+        return 10.0 ** (block.gain / 20.0) / (1.0 + 1j * f / block.bandwidth)
     if isinstance(block, Notch):
-        return _notch_values(block, f, out, scratch)
+        return _notch_values(block, f)
     raise TypeError(f"unknown block type {type(block).__name__}")
 
 
 def _blocks(grid: FrequencyGrid):
     """(slice, frequencies) of each block of _BLOCK grid points, the last one
-    holding the 2 to _BLOCK + 1 points left: numpy rounds an in-place complex
-    product of one-element arrays differently.  The frequencies equal
-    grid.frequencies()[slice]: i * step + f_start with the last point set to
-    f_stop, as np.linspace computes them."""
-    i0 = 0
-    while i0 < grid.n_points:
-        i1 = grid.n_points if grid.n_points - i0 <= _BLOCK + 1 else i0 + _BLOCK
-        f = np.arange(i0, i1, dtype=np.float64)
-        f *= grid.step
-        f += grid.f_start
+    holding what is left.  The frequencies equal grid.frequencies()[slice]:
+    i * step + f_start with the last point set to f_stop, as np.linspace
+    computes them."""
+    for i0 in range(0, grid.n_points, _BLOCK):
+        i1 = min(i0 + _BLOCK, grid.n_points)
+        f = np.arange(i0, i1, dtype=np.float64) * grid.step + grid.f_start
         if i1 == grid.n_points:
             f[-1] = grid.f_stop
         yield slice(i0, i1), f
-        i0 = i1
 
 
-def _product(factors, out: np.ndarray) -> np.ndarray:
-    """The product of `factors` taken left to right, written into `out`."""
+def _product(factors) -> np.ndarray:
+    """The product of `factors` taken left to right."""
     if not factors:
         raise ValueError("a chain requires at least one part")
-    np.copyto(out, factors[0])
+    out = factors[0]
     for v in factors[1:]:
-        out *= v
+        out = out * v
     return out
 
 
-def _chain_values(parts, size: int):
-    """values(f, out): the cascade of `parts` at the at most `size`
-    frequencies `f`, written into `out`.  Equal parts are evaluated once per
-    call, each into its own buffer; those buffers and the scratch are
-    allocated here, once."""
-    distinct = list(dict.fromkeys(parts))
-    buffers = [np.empty(size, dtype=np.complex128) for _ in distinct]
-    scratch = _scratch(size)
-
-    def values(f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        s = scratch(f.size)
-        v = {part: _block_values(part, f, b[:f.size], s) for part, b in zip(distinct, buffers)}
-        return _product([v[part] for part in parts], out)
-
-    return values
+def _chain_values(parts, f: np.ndarray) -> np.ndarray:
+    """The cascade of `parts` at the frequencies `f`; equal parts are
+    evaluated once."""
+    v = {part: _block_values(part, f) for part in dict.fromkeys(parts)}
+    return _product([v[part] for part in parts])
 
 
 def chain_response(parts, grid: FrequencyGrid) -> TwoPortResponse:
@@ -375,9 +325,8 @@ def chain_response(parts, grid: FrequencyGrid) -> TwoPortResponse:
     points at a time.  A part is a network block or an interferometer, given
     as a (UnicDesign, SawBpf) pair as `unic_response` takes them."""
     values = np.empty(grid.n_points, dtype=np.complex128)
-    chain = _chain_values(parts, min(grid.n_points, _BLOCK + 1))
     for s, f in _blocks(grid):
-        chain(f, values[s])
+        values[s] = _chain_values(parts, f)
     return TwoPortResponse(grid, values)
 
 
@@ -425,8 +374,7 @@ def balance_attenuation(design: UnicDesign, saw: SawBpf) -> float:
     Raises BalanceInfeasibleError when the filtered arm is weaker than the
     through arm even without any pad.
     """
-    f_g = np.asarray([design.f_g])
-    saw_mag = float(np.abs(_saw_values(saw, f_g, np.empty(1, dtype=np.complex128), _scratch(1)(1)))[0])
+    saw_mag = float(np.abs(_saw_values(saw, np.asarray([design.f_g])))[0])
     filt, thru = design.coupler_tap * saw_mag, 1.0 - design.coupler_tap
     if filt < thru:
         raise BalanceInfeasibleError(
@@ -461,8 +409,7 @@ def cascade(responses: list[TwoPortResponse]) -> TwoPortResponse:
     for r in responses[1:]:
         if (r.grid.f_start, r.grid.f_stop, r.grid.n_points) != (g0.f_start, g0.f_stop, g0.n_points):
             raise ValueError("cascade requires identical grids")
-    values = np.empty(g0.n_points, dtype=np.complex128)
-    return TwoPortResponse(g0, _product([r.values for r in responses], values))
+    return TwoPortResponse(g0, _product([r.values for r in responses]))
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +506,7 @@ def null_metrics(resp: TwoPortResponse, f_g: float) -> NullMetrics:
 def chain_null_metrics(parts, grid: FrequencyGrid, f_g: float) -> NullMetrics:
     """`null_metrics` of `chain_response(parts, grid)`, with no complex
     response held beyond one block of grid points."""
-    def blocks():  # its buffers are freed once the last block is read
-        size = min(_BLOCK + 1, grid.n_points)
-        chain = _chain_values(parts, size)
-        out, mag = np.empty(size, dtype=np.complex128), np.empty(size)
-        for _, f in _blocks(grid):
-            yield f, np.abs(chain(f, out[:f.size]), out=mag[:f.size])
-
-    return _null_metrics(grid, f_g, blocks())
+    return _null_metrics(grid, f_g, ((f, np.abs(_chain_values(parts, f))) for _, f in _blocks(grid)))
 
 
 # ---------------------------------------------------------------------------

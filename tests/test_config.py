@@ -177,6 +177,7 @@ BOUNDS = [
     (AcquisitionConfig, {}, "gate_offset", -INF),
     (FrequencyGrid, {"f_stop": 1e9, "n_points": 3}, "f_start", -1.0),
     (FrequencyGrid, {"f_start": 0.0, "n_points": 3}, "f_stop", 0.0),
+    (FrequencyGrid, {"f_start": 0.0, "n_points": 3}, "f_stop", INF),
     (FrequencyGrid, {"f_start": 0.0, "f_stop": 1e9}, "n_points", 1),
     (Coupler, {}, "tap_fraction", 1.0),
     (Coupler, {"tap_fraction": 0.5}, "port", "tee"),
@@ -194,6 +195,7 @@ BOUNDS = [
     (ImpulseSpec, {"fwhm": 1.5e-10, "peak": 1e-3}, "onset", INF),
     (SpectrumConfig, {}, "fine_step", 0.0),
     (SpectrumConfig, {}, "f_start", -1.0),
+    (SpectrumConfig, {}, "f_stop", INF),
     (NetworkConfig, {"saw": SawBpf(**SAW)}, "coupler_tap", 1.0),
     (NetworkConfig, {"saw": SawBpf(**SAW)}, "stages", 0),
     (WaveformConfig, {}, "noise_rms", -1e-6),
@@ -209,8 +211,12 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("cls, args, field, bad", BOUNDS,
-                         ids=[f"{c.__name__}.{f}" for c, _, f, _ in BOUNDS])
+# "<class>.<field>", and "=<bad>" after a field's second row
+BOUND_IDS = [f"{c.__name__}.{f}" for c, _, f, _ in BOUNDS]
+BOUND_IDS = [i if BOUND_IDS.index(i) == k else f"{i}={BOUNDS[k][3]}" for k, i in enumerate(BOUND_IDS)]
+
+
+@pytest.mark.parametrize("cls, args, field, bad", BOUNDS, ids=BOUND_IDS)
 def test_constructor_rejects_nan_and_out_of_range_naming_the_field(cls, args, field, bad):
     for value in (NAN, bad):
         with pytest.raises(ValueError) as e:

@@ -115,9 +115,9 @@ def test_chain_evaluation_holds_one_complex_array():
     net = cli.parse("spectrum", copy.deepcopy(CONFIG)).network  # two stages and a band-stop
     grid = network.metrics_grid(1e9, 2e9, 1e3)  # 1e6 + 1 points
     resp, peak = _traced_peak(network.chain_response, cli._chain(net), grid)
-    # the response, and the part values and scratch of one 2**16-point block
-    # (eight complex arrays of a block)
-    assert peak <= resp.values.nbytes + 8 * (16 << 16)
+    # the response, and the part values and temporaries of one 2**12-point
+    # block (64 KB per complex array); 1 MB blocks would not fit
+    assert peak <= resp.values.nbytes + (2 << 20)
 
 
 def _waveform_config(out, duration):

@@ -364,7 +364,7 @@ def test_spectrum_csv_merges_dense_first(tmp_path, saw, design):
 
 
 # ---------------------------------------------------------------------------
-# In-place kernels against the whole-array expressions they replace
+# Block evaluation against whole-array expressions
 # ---------------------------------------------------------------------------
 
 def _reference_saw(b, f):
@@ -395,6 +395,9 @@ REFERENCE_BLOCKS = [
     (Notch(F_G, 40.0, 1e6), _reference_notch),
     (Delay(1.3e-9), lambda b, f: np.exp(-2j * np.pi * f * b.t)),
     (Amplifier(20.0, 3e9), lambda b, f: 10.0 ** (b.gain / 20.0) / (1.0 + 1j * f / b.bandwidth)),
+    (Coupler(0.9, "tap"), lambda b, f: np.full(f.shape, math.sqrt(b.tap_fraction), complex)),
+    (Coupler(0.9, "through"), lambda b, f: np.full(f.shape, math.sqrt(1.0 - b.tap_fraction), complex)),
+    (Attenuator(3.0), lambda b, f: np.full(f.shape, 10.0 ** (-b.loss / 20.0), complex)),
 ]
 REFERENCE_GRIDS = [FrequencyGrid(0.0, 5e9, 100_001), FrequencyGrid(1.2e9, 1.3e9, 7777)]
 
@@ -425,7 +428,7 @@ def test_unic_and_cascade_equal_whole_array_reference(design, saw, grid):
 
 BLOCK_GRIDS = [
     FrequencyGrid(0.0, 5e9, 2),
-    FrequencyGrid(0.0, 2.5e9, 3 * network._BLOCK + 1),  # the endpoint joins the last whole block
+    FrequencyGrid(0.0, 2.5e9, 3 * network._BLOCK + 1),  # the endpoint is a block of its own
     FrequencyGrid(0.0, 2.5e9, 3 * network._BLOCK + 2),  # the last block holds two points
     FrequencyGrid(0.0, 2.5e9, 2 * network._BLOCK),
     FrequencyGrid(1.2e9 + 0.1, 1.3e9 - 0.3, 100_003),
@@ -433,8 +436,8 @@ BLOCK_GRIDS = [
 ]
 
 
-@pytest.mark.parametrize("grid", BLOCK_GRIDS,
-                         ids=["n=2", "endpoint joined", "endpoint pair", "whole blocks", "odd", "metrics"])
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=[
+    "n=2", "endpoint alone", "two-point last block", "whole blocks", "odd", "metrics"])
 def test_grid_blocks_equal_linspace_slices(grid):
     want = np.linspace(grid.f_start, grid.f_stop, grid.n_points)
     slices = []
@@ -443,7 +446,7 @@ def test_grid_blocks_equal_linspace_slices(grid):
         slices.append(s)
     assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
     assert slices[-1].stop == grid.n_points
-    assert all(2 <= s.stop - s.start <= network._BLOCK + 1 for s in slices)
+    assert all(1 <= s.stop - s.start <= network._BLOCK for s in slices)
 
 
 def test_grid_blocks_equal_linspace_slices_on_random_grids(monkeypatch):
@@ -461,7 +464,7 @@ def test_chain_equals_the_cascade_of_whole_responses_at_any_block(monkeypatch, d
     parts = [(design, saw), (design, saw), Notch(f_center=2.5e9, depth=10.0, width_10db=1e8)]
     whole = chain_response(design, saw, grid)
     metrics = null_metrics(whole, F_G)
-    # 1000 and 120_000 leave one point over: it must not be a block of its own
+    # 1000 and 120_000 leave a one-point last block: it must give the same bytes
     for block in (network._BLOCK, 1000, 129, 120_000):
         monkeypatch.setattr(network, "_BLOCK", block)
         assert network.chain_response(parts, grid).values.tobytes() == whole.values.tobytes()
