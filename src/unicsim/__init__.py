@@ -9,77 +9,42 @@ characterize afterpulse probability, net detection efficiency, count-rate
 saturation and avalanche charge.
 """
 
-from .network import (
-    Amplifier,
-    Attenuator,
-    BalanceInfeasibleError,
-    Coupler,
-    Delay,
-    FrequencyGrid,
-    Notch,
-    NullMetrics,
-    SawBpf,
-    TwoPortResponse,
-    UnicDesign,
-    balance_attenuation,
-    balanced_design,
-    block_response,
-    cascade,
-    chain_null_metrics,
-    chain_response,
-    design_report,
-    metrics_grid,
-    null_metrics,
-    solve_unic_delay,
-    unic_response,
-)
-from .waveform import (
-    GateWaveSpec,
-    ImpulseSpec,
-    Waveform,
-    add_impulses,
-    add_noise,
-    apply_response,
-    synth_avalanche,
-    synth_capacitive,
-    synth_record,
-)
-from .apd import (
-    ClickProbabilities,
-    DetectorConfig,
-    EventStream,
-    SourceConfig,
-    expected_afterpulses,
-    expected_click_prob,
-    pulse_ratio,
-    renewal_clicks_per_gate,
-    simulate,
-    simulate_blocks,
-)
-from .acquisition import (
-    AcquisitionConfig,
-    DiscriminatorSpec,
-    GateCounts,
-    Histogram,
-    TdcSpec,
-    classify,
-    count_rate,
-    discriminate,
-    histogram,
-    tdc,
-)
-from .characterize import (
-    RunReport,
-    SweepPoint,
-    SweepResult,
-    afterpulse_probability,
-    charge_from_photocurrent,
-    count_rate_vs_flux,
-    efficiency_at_afterpulse,
-    efficiency_sweep,
-    net_efficiency,
-    run_characterization,
-)
-from .presets import DETECTOR_PRESETS, get_preset, load_presets, save_presets
+import importlib
+
+# Each public name and the module it is read from on first use (PEP 562), so
+# that `import unicsim` loads no kernel and a subcommand only the ones it runs.
+_NAMES = {
+    "config": ("AcquisitionConfig", "DetectorConfig", "DiscriminatorSpec", "FrequencyGrid", "Notch", "SawBpf",
+               "SourceConfig", "TdcSpec"),
+    "network": ("Amplifier", "Attenuator", "BalanceInfeasibleError", "Coupler", "Delay", "NullMetrics",
+                "TwoPortResponse", "UnicDesign", "balance_attenuation", "balanced_design", "block_response",
+                "cascade", "chain_null_metrics", "chain_response", "design_report", "metrics_grid", "null_metrics",
+                "solve_unic_delay", "unic_response"),
+    "waveform": ("GateWaveSpec", "ImpulseSpec", "Waveform", "add_impulses", "add_noise", "apply_response",
+                 "synth_avalanche", "synth_capacitive", "synth_record"),
+    "apd": ("ClickProbabilities", "EventStream", "expected_afterpulses", "expected_click_prob", "pulse_ratio",
+            "renewal_clicks_per_gate", "simulate", "simulate_blocks"),
+    "acquisition": ("GateCounts", "Histogram", "classify", "count_rate", "discriminate", "histogram", "tdc"),
+    "characterize": ("RunReport", "SweepPoint", "SweepResult", "afterpulse_probability", "charge_from_photocurrent",
+                     "count_rate_vs_flux", "efficiency_at_afterpulse", "efficiency_sweep", "net_efficiency",
+                     "run_characterization"),
+    "presets": ("DETECTOR_PRESETS", "get_preset", "load_presets", "save_presets"),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _NAMES:  # a module's attribute is set by its import
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_NAMES, *_HOME})

@@ -72,6 +72,14 @@ def check_fields(obj) -> None:
             raise ValueError(f"{name} must {text}")
 
 
+def check_finite(a, name: str) -> None:
+    """Raise `ValueError("<name> must be finite")` if the float array `a` holds
+    a NaN or an infinity.  min and max are NaN when any value is, and infinite
+    when one is: two reductions, with no mask of the array."""
+    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise ValueError(f"{name} must be finite")
+
+
 INVALID = object()
 _JSON_TYPES = {float: (int, float), int: int, str: str, bool: bool}
 

@@ -13,13 +13,16 @@ import contextlib
 import math
 import struct
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._io import output, read_csv, read_json, write_csv, write_json
-from ._schema import Finite, NonNegative, Positive, check_fields
 from .apd import _distinct
-from .waveform import Waveform
+from .config import AcquisitionConfig, DiscriminatorSpec, TdcSpec
+
+if TYPE_CHECKING:
+    from .waveform import Waveform
 
 __all__ = [
     "DiscriminatorSpec",
@@ -39,36 +42,6 @@ __all__ = [
     "write_gate_counts_json",
     "read_gate_counts_json",
 ]
-
-
-@dataclass(frozen=True)
-class DiscriminatorSpec:
-    threshold: Finite             # volts
-    dead_time: NonNegative = 0.0  # seconds, non-paralyzable
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class TdcSpec:
-    resolution: Positive = 1e-12    # seconds per timestamp step
-    dead_time: NonNegative = 2e-9   # seconds, non-paralyzable
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class AcquisitionConfig:
-    """Acquisition chain settings shared by the experiment drivers."""
-
-    tdc: TdcSpec = TdcSpec()
-    discriminator: DiscriminatorSpec = DiscriminatorSpec(threshold=5e-6)
-    gate_offset: Finite = 0.0  # calibrated readout delay subtracted before gate assignment
-
-    def __post_init__(self):
-        check_fields(self)
-        if not isinstance(self.tdc, TdcSpec) or not isinstance(self.discriminator, DiscriminatorSpec):
-            raise TypeError("tdc/discriminator must be TdcSpec/DiscriminatorSpec")
 
 
 @dataclass

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from ._io import Coded, read_csv, write_csv
-from ._schema import NonNegative, Positive, Probability, at_least, check_fields
+from .config import DetectorConfig, SourceConfig, _check_n_gates
 
 __all__ = [
     "DetectorConfig",
@@ -58,39 +57,6 @@ _CHUNK = 1 << 20
 _DRAW = 1 << 16  # variates drawn at once; a Philox stream gives the same values in any slicing
 _KIND_BITS = 2  # low bits of the sort key that hold the event kind
 _LANE_PHOTON, _LANE_DARK, _LANE_TRAP, _LANE_TRIGGER, _LANE_CHARGE, _LANE_JITTER = range(6)
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Gated-detector parameters; probabilities are per gate."""
-
-    f_g: Positive = 1.25e9                # gate rate, Hz
-    gate_width: float = 1.5e-10           # effective gate width, s
-    eta_gate: Probability = 0.25          # single-gate photon detection efficiency
-    dark_per_gate: Probability = 1e-6     # dark avalanche probability per gate
-    mean_charge: Positive = 3.8e-14       # average avalanche charge, C
-    charge_cv: NonNegative = 0.3          # charge coefficient of variation
-    traps_per_avalanche: NonNegative = 0.0  # mean trapped carriers per avalanche
-    detrap_tau: Positive = 2e-9           # trap release time constant, s
-    p_trigger: Probability = 0.1          # afterpulse trigger probability per released carrier
-    jitter_sigma: NonNegative = 5e-11     # avalanche timing spread, s
-
-    def __post_init__(self):
-        check_fields(self)
-        if not 0 < self.gate_width < 1.0 / self.f_g:
-            raise ValueError("gate_width must lie in (0, 1/f_g)")
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """Illumination: 10 MHz-style pulsed laser or a gate-synchronous carved train."""
-
-    mode: Literal["pulsed", "cw_carved"] = "pulsed"
-    laser_rate: Positive = 1e7         # Hz
-    mu: NonNegative = 0.1              # mean photons per illumination pulse
-    illuminated_gate_phase: at_least(0) = 0  # gate index offset of the illuminated gates
-
-    __post_init__ = check_fields
 
 
 def pulse_ratio(det: DetectorConfig, src: SourceConfig) -> int:
@@ -288,13 +254,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     first = np.ones(a.size, dtype=bool)
     first[1:] = a[1:] != a[:-1]
     return a[first]
-
-
-def _check_n_gates(n_gates: int) -> None:
-    if n_gates < 1:
-        raise ValueError("n_gates must be >= 1")
-    if n_gates > _CHUNK << 32:
-        raise ValueError("n_gates must be <= 2**52 (block indices are one uint32 word)")
 
 
 def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int):

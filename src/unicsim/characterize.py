@@ -26,8 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._io import read_csv, read_json, write_csv, write_json
-from .acquisition import _block_tdc, classify, AcquisitionConfig, TdcSpec
-from .apd import KIND_NAMES, DetectorConfig, SourceConfig, pulse_ratio, simulate_blocks
+from .acquisition import _block_tdc, classify
+from .apd import KIND_NAMES, pulse_ratio, simulate_blocks
+from .config import AcquisitionConfig, DetectorConfig, SourceConfig, TdcSpec, _check_flux_list
 
 __all__ = [
     "RunReport",
@@ -285,17 +286,6 @@ def efficiency_at_afterpulse(sweep: SweepResult, target_pa: float) -> float:
             f"target_pa {target_pa:.6g} outside sweep range [{pa[0]:.6g}, {pa[-1]:.6g}]"
         )
     return float(np.interp(target_pa, pa, eta))
-
-
-def _check_flux_list(flux_list) -> list:
-    flux_list = list(flux_list)
-    if not flux_list:
-        raise ValueError("flux_list must not be empty")
-    if any(b < a for a, b in zip(flux_list, flux_list[1:])):
-        raise ValueError("flux_list must be nondecreasing")
-    if flux_list[0] < 0:
-        raise ValueError("flux_list entries must be >= 0")
-    return flux_list
 
 
 def count_rate_vs_flux(det: DetectorConfig, acq: AcquisitionConfig, flux_list,

@@ -4,7 +4,8 @@ One JSON config file describes an experiment; flags may override only seed,
 n_gates and output_dir so provenance stays in the config.  The file is read
 into `ExperimentConfig` by one builder driven by the dataclass type hints.
 Exit codes: 0 success, 2 config error, 3 runtime error; failures print a
-machine-readable JSON object to stderr.
+machine-readable JSON object to stderr.  Each subcommand, and each check of
+its config, imports only the kernel modules it calls.
 """
 
 from __future__ import annotations
@@ -15,120 +16,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Annotated, Literal
+from dataclasses import fields, replace
 
 import numpy as np
 
-from . import _io, acquisition, apd, characterize, network, presets, waveform
-from ._schema import (Bound, ConfigError, Finite, NonNegative, OpenUnit, Positive, at, at_least, build,
-                      check_fields)
-from .acquisition import AcquisitionConfig
-from .apd import DetectorConfig, SourceConfig
-from .network import Notch, SawBpf
+from . import _io, presets
+from ._schema import ConfigError, at, build
+from .config import (ExperimentConfig, FrequencyGrid, MaxrateConfig, NetworkConfig, Scenario, SourceConfig,
+                     SpectrumConfig, SweepConfig, WaveformConfig)  # each section is re-exported
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-
-# ---------------------------------------------------------------------------
-# Config schema: library dataclasses plus the sections that have none
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectrumConfig:
-    """Grids of spectrum.csv: [f_start, f_stop] coarse, fine_span around f_g fine."""
-
-    f_start: NonNegative = 1e8
-    f_stop: Finite = 2.5e9
-    coarse_step: Positive = 1e5
-    fine_step: Positive = 1e3
-    fine_span: Positive = 2e6
-
-    def __post_init__(self):
-        check_fields(self)
-        network.FrequencyGrid(self.f_start, self.f_stop, 2)  # f_start < f_stop
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Readout chain: `stages` balanced interferometers plus an optional band-stop."""
-
-    saw: SawBpf
-    f_g: Positive = 1.25e9
-    coupler_tap: OpenUnit = 0.9
-    stages: at_least(1) = 2
-    band_stop: Notch | None = None
-    spectrum: SpectrumConfig = SpectrumConfig()
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class WaveformConfig:
-    """Synthesized record; f_g defaults to network.f_g when filtered, else 1.25 GHz."""
-
-    duration: Finite = 1e-6
-    sample_rate: Finite = waveform.DEFAULT_SAMPLE_RATE
-    f_g: float | None = None
-    fundamental_amp: Finite = 0.42
-    harmonics: tuple[tuple[int, float, float], ...] = ()
-    impulse_gate_stride: int = 0
-    impulse_fwhm: Finite = 1.5e-10
-    impulse_peak: Finite = 1e-3
-    noise_rms: NonNegative = 0.0
-    filtered: bool = True
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class Scenario:
-    label: str
-    detector: DetectorConfig
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Scenarios are preset names until `parse` resolves them to `Scenario`s."""
-
-    scenarios: Annotated[tuple[str | Scenario, ...], Bound(lambda s: len(s) >= 2, "list at least 2 entries")]
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class MaxrateConfig:
-    flux_list: tuple[float, ...]
-
-    def __post_init__(self):
-        characterize._check_flux_list(self.flux_list)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The top-level keys; `parse` resolves `detector_preset` into `detector`."""
-
-    seed: int
-    n_gates: int | None = None
-    output_dir: str = "."
-    emit: tuple[Literal["csv", "json"], ...] = ("csv", "json")
-    network: NetworkConfig | None = None
-    detector_preset: str | None = None
-    detector: DetectorConfig | None = None
-    presets_file: str | None = None
-    source: SourceConfig | None = None
-    acquisition: AcquisitionConfig = AcquisitionConfig()
-    histogram_bin: float = 1e-11
-    waveform: WaveformConfig | None = None
-    sweep: SweepConfig | None = None
-    maxrate: MaxrateConfig | None = None
-
-    def __post_init__(self):
-        if self.n_gates is not None:
-            apd._check_n_gates(self.n_gates)
-
 
 # Sections each subcommand needs; the waveform command also needs `network` when filtered.
 _NEEDS = {"design": ("network",), "spectrum": ("network",), "waveform": ("waveform",),
@@ -197,6 +96,7 @@ def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
         detectors = [cfg.detector]
     else:
         return
+    from . import acquisition, characterize
     for det in detectors:
         r = _checked(errors, "source", characterize._pulsed_ratio, det, cfg.source,
                      names=SourceConfig.__dataclass_fields__)
@@ -216,6 +116,7 @@ def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
 
 def _check_spectrum(cfg: ExperimentConfig, errors: list) -> None:
     """The spectrum.csv grids, built as `cmd_spectrum` builds them."""
+    from . import network
     sp = cfg.network.spectrum
     _checked(errors, "network.spectrum.fine_span", _fine_grid, cfg.network)
     _checked(errors, "network.spectrum.coarse_step", network.metrics_grid,
@@ -224,6 +125,7 @@ def _check_spectrum(cfg: ExperimentConfig, errors: list) -> None:
 
 def _check_waveform(cfg: ExperimentConfig, errors: list) -> None:
     """The library's checks of the gate response, record and impulses of `cmd_waveform`."""
+    from . import waveform
     wf, names = cfg.waveform, WaveformConfig.__dataclass_fields__
     spec = _checked(errors, "waveform", _gate_spec, wf, cfg.network, names=names)
     if spec is not None:
@@ -266,6 +168,7 @@ def parse(command: str, raw: dict) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _build_design(net: NetworkConfig):
+    from . import network
     design = network.solve_unic_delay(net.saw.group_delay, float(net.f_g), net.coupler_tap)
     return network.balanced_design(design, net.saw)
 
@@ -276,20 +179,22 @@ def _chain(net: NetworkConfig) -> list:
     return parts if net.band_stop is None else parts + [net.band_stop]
 
 
-def _fine_grid(net: NetworkConfig) -> network.FrequencyGrid:
+def _fine_grid(net: NetworkConfig) -> FrequencyGrid:
     """The spectrum.csv grid of fine_step steps over fine_span centred on f_g."""
     sp = net.spectrum
     n_fine = int(round(sp.fine_span / sp.fine_step)) + 1
     fine_start = float(net.f_g) - sp.fine_span / 2
-    return network.FrequencyGrid(fine_start, fine_start + (n_fine - 1) * sp.fine_step, n_fine)
+    return FrequencyGrid(fine_start, fine_start + (n_fine - 1) * sp.fine_step, n_fine)
 
 
-def _gate_spec(wf: WaveformConfig, net: NetworkConfig | None) -> waveform.GateWaveSpec:
+def _gate_spec(wf: WaveformConfig, net: NetworkConfig | None):
+    from . import waveform
     f_g = float(wf.f_g if wf.f_g is not None else net.f_g if wf.filtered and net else 1.25e9)
     return waveform.GateWaveSpec(f_g, wf.fundamental_amp, wf.harmonics)
 
 
-def _impulse(wf: WaveformConfig) -> waveform.ImpulseSpec:
+def _impulse(wf: WaveformConfig):
+    from . import waveform
     return waveform.ImpulseSpec(fwhm=wf.impulse_fwhm, peak=wf.impulse_peak)
 
 
@@ -302,6 +207,7 @@ def _out(cfg: ExperimentConfig, name: str, written: list) -> str:
 
 
 def cmd_design(cfg: ExperimentConfig) -> list[str]:
+    from . import network
     design = _build_design(cfg.network)
     written: list[str] = []
     if "json" in cfg.emit:
@@ -312,6 +218,7 @@ def cmd_design(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> list[str]:
+    from . import network
     net, sp = cfg.network, cfg.network.spectrum
     chain = _chain(net)
     metrics_grid = network.metrics_grid(step=min(sp.fine_step, 1e3))
@@ -332,6 +239,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
+    from . import network, waveform
     wf = cfg.waveform
     net = cfg.network if wf.filtered else None
     gate_spec = _gate_spec(wf, net)
@@ -344,11 +252,12 @@ def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
     response = None
     if net is not None:
         n_pts = waveform.DEFAULT_IR_LENGTH // 2 + 1
-        response = network.chain_response(_chain(net), network.FrequencyGrid(0.0, wf.sample_rate / 2.0, n_pts))
+        response = network.chain_response(_chain(net), FrequencyGrid(0.0, wf.sample_rate / 2.0, n_pts))
     # the record of synth_record, streamed into waveform.bin a piece at a
     # time and read back a slice at a time: no record-sized array is held
     n, pieces = waveform._record(gate_spec, wf.duration, wf.sample_rate, impulse, times, wf.noise_rms,
                                  cfg.seed, response)
+    del response  # the filter drops it once it has its taps
 
     written: list[str] = []
     path = _out(cfg, "waveform.bin", written)
@@ -363,6 +272,7 @@ def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
+    from . import acquisition, apd, characterize
     det, src, acq, n_gates = cfg.detector, cfg.source, cfg.acquisition, cfg.n_gates
     tally = None
     if src.mode == "pulsed" and "json" in cfg.emit:
@@ -398,6 +308,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_characterize(cfg: ExperimentConfig) -> list[str]:
+    from . import acquisition, characterize
     det = cfg.detector
     report, on = characterize._characterize_streams(det, cfg.source, cfg.acquisition, cfg.n_gates, cfg.seed)
     written: list[str] = []
@@ -413,6 +324,7 @@ def cmd_characterize(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> list[str]:
+    from . import characterize
     scenarios = [(s.label, s.detector) for s in cfg.sweep.scenarios]
     result = characterize.efficiency_sweep(scenarios, cfg.source, cfg.acquisition, cfg.n_gates, cfg.seed)
     written: list[str] = []
@@ -426,6 +338,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> list[str]:
 
 
 def cmd_maxrate(cfg: ExperimentConfig) -> list[str]:
+    from . import characterize
     flux_list = [float(x) for x in cfg.maxrate.flux_list]
     result = characterize.count_rate_vs_flux(cfg.detector, cfg.acquisition, flux_list, cfg.n_gates, cfg.seed)
     written: list[str] = []

@@ -19,7 +19,8 @@ from typing import Literal
 import numpy as np
 
 from ._io import read_csv, write_csv, write_json
-from ._schema import Finite, NonNegative, OpenUnit, Positive, at_least, check_fields
+from ._schema import Finite, NonNegative, OpenUnit, Positive, at_least, check_fields, check_finite
+from .config import FrequencyGrid, Notch, SawBpf
 
 __all__ = [
     "FrequencyGrid",
@@ -57,27 +58,6 @@ _MAG_FLOOR = 1e-150
 # 64 KB, below glibc's 128 KB mmap threshold, so it comes from the heap;
 # larger blocks map and fault in fresh pages for every temporary.
 _BLOCK = 1 << 12
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Uniform frequency grid in Hz over [f_start, f_stop] with n_points."""
-
-    f_start: NonNegative
-    f_stop: Finite
-    n_points: at_least(2)
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.f_stop > self.f_start:
-            raise ValueError("f_stop must exceed f_start")
-
-    @property
-    def step(self) -> float:
-        return (self.f_stop - self.f_start) / (self.n_points - 1)
-
-    def frequencies(self) -> np.ndarray:
-        return np.linspace(self.f_start, self.f_stop, self.n_points)
 
 
 def metrics_grid(f_start: float = 1e8, f_stop: float = 2.1e9, step: float = 1e3) -> FrequencyGrid:
@@ -120,42 +100,9 @@ class Delay:
 
 
 @dataclass(frozen=True)
-class SawBpf:
-    """SAW band-pass: order-4 Butterworth magnitude, constant group delay.
-
-    The magnitude is scaled so the full width between the -20 dB points
-    (relative to the passband peak) equals `passband_20db`; the phase is
-    linear with slope -2*pi*group_delay.
-    """
-
-    f_center: Positive        # Hz
-    passband_20db: Positive   # Hz, full width at -20 dB
-    insertion_loss: Finite    # dB
-    group_delay: NonNegative  # seconds
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
 class Amplifier:
     gain: Finite          # dB
     bandwidth: Positive   # Hz, single-pole low-pass corner
-
-    __post_init__ = check_fields
-
-
-@dataclass(frozen=True)
-class Notch:
-    """Second-order band-stop (ideal RLC null at f_center).
-
-    `width_10db` is the full width of the band rejected by at least `depth`
-    dB, i.e. |H| = -depth dB at f_center +/- width_10db/2 (geometric
-    symmetry) and deeper in between.
-    """
-
-    f_center: Positive    # Hz
-    depth: Positive       # dB, rejection at the band edges
-    width_10db: Positive  # Hz
 
     __post_init__ = check_fields
 
@@ -199,8 +146,8 @@ class TwoPortResponse:
         v = np.asarray(self.values, dtype=np.complex128).view()
         if v.shape != (self.grid.n_points,):
             raise ValueError("values length must equal grid n_points")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValueError("values must be finite")
+        check_finite(v.real, "values")
+        check_finite(v.imag, "values")
         v.flags.writeable = False
         self.values = v
 

@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from ._io import read_json, write_json
 from ._schema import ConfigError, build
-from .apd import DetectorConfig
+from .config import DetectorConfig
 
 __all__ = ["DETECTOR_PRESETS", "get_preset", "load_presets", "save_presets"]
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import csv_rows, output, read_csv
-from ._schema import Finite, NonNegative, Positive, check_fields
+from ._schema import Finite, NonNegative, Positive, check_fields, check_finite
+from .config import DEFAULT_SAMPLE_RATE
 from .network import TwoPortResponse
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "write_waveform_binary",
     "read_waveform_binary",
 ]
-
-DEFAULT_SAMPLE_RATE = 40e9  # 32 samples per 1.25 GHz gate period
 
 # Impulse responses are sampled on this many points;
 # 2**17 taps at 40 GS/s is a 3.3 us window, far beyond the SAW ring-down.
@@ -66,7 +65,7 @@ class Waveform:
         s = np.asarray(self.samples, dtype=np.float64).view()  # read-only without freezing the caller's array
         if s.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        _check_finite(s)
+        check_finite(s, "samples")
         s.flags.writeable = False
         self.samples = s
 
@@ -146,13 +145,6 @@ def _record_length(spec: GateWaveSpec, duration: float, rate: float) -> int:
             f"sample_rate {rate:.4g} below Nyquist for highest harmonic {spec.max_frequency:.4g}"
         )
     return int(round(duration * rate))
-
-
-def _check_finite(s: np.ndarray) -> None:
-    # min and max are NaN when any sample is, and infinite when one is:
-    # two reductions, with no mask of the record.
-    if s.size and not (math.isfinite(s.min()) and math.isfinite(s.max())):
-        raise ValueError("samples must be finite")
 
 
 def _slicer(s: np.ndarray):
@@ -372,18 +364,17 @@ def _check_coverage(resp: TwoPortResponse, rate: float) -> None:
         )
 
 
-def _overlap_add_circular(read, n: int, h: np.ndarray):
-    """Circular convolution with h, via overlap-add and tail wrap, of the n
-    samples that read(i0, i1) returns an L = h.size segment at a time,
-    yielded as (start, samples) pieces once final: in order from sample
-    L - 1 on, then the head 0..L - 1 with the linear-convolution tail added
-    to it.  A piece is valid until the next is asked for."""
-    L = h.size
-    nfft = _next_pow2(2 * L - 1)
-    hf = np.fft.rfft(h, nfft)
+def _overlap_add_circular(read, n: int, hf: np.ndarray):
+    """Circular convolution, by overlap-add and tail wrap, with the L taps
+    whose 2 L-point rfft is `hf`, of the n samples read(i0, i1) returns an L
+    segment at a time, as (start, samples) pieces once final: in order from
+    sample L - 1 on, then the head 0..L - 1 with the linear-convolution tail
+    added to it.  A piece is valid until the next is asked for."""
+    L = hf.size - 1
+    nfft = 2 * L
     acc = np.zeros(2 * L - 1)  # samples start .. start + 2 L - 1
     head = np.empty(min(L - 1, n))
-    # x and yk live until rebound: freeing them at once saves 4 MB of peak RSS but doubles the page faults
+    # x and yk live until rebound: freeing them at once saves 2 MB of peak RSS but doubles the page faults
     for start in range(0, n, L):
         if start:
             acc[:L - 1] = acc[L:]  # the overlap moves to the front
@@ -406,7 +397,8 @@ def _overlap_add_circular(read, n: int, h: np.ndarray):
 def _filtered(read, n: int, rate: float, resp: TwoPortResponse):
     """(start, samples) pieces of the n > 0 samples that read(i0, i1)
     returns, filtered as `apply_response` describes: one piece of the whole
-    record, or the overlap-add pieces past _MAX_SINGLE_FFT samples."""
+    record, or the overlap-add pieces past _MAX_SINGLE_FFT samples, whose
+    loop holds the taps' spectrum but not `resp`, its bins or the taps."""
     L = min(DEFAULT_IR_LENGTH, _next_pow2(n))
     if n <= L:
         # Short record: multiply on its own bin grid, no intermediate FIR.
@@ -414,12 +406,14 @@ def _filtered(read, n: int, rate: float, resp: TwoPortResponse):
         yield 0, np.fft.irfft(np.fft.rfft(read(0, n)) * _interp_response(resp, bins), n)
         return
 
-    bins = np.arange(L // 2 + 1) * (rate / L)
-    h = np.fft.irfft(_interp_response(resp, bins), L)
+    h = np.fft.irfft(_interp_response(resp, np.arange(L // 2 + 1) * (rate / L)), L)
+    del resp
     if n <= _MAX_SINGLE_FFT:
         yield 0, np.fft.irfft(np.fft.rfft(read(0, n)) * np.fft.rfft(h, n), n)
         return
-    yield from _overlap_add_circular(read, n, h)
+    hf = np.fft.rfft(h, 2 * L)
+    del h
+    yield from _overlap_add_circular(read, n, hf)
 
 
 def apply_response(w: Waveform, resp: TwoPortResponse) -> Waveform:
@@ -498,7 +492,7 @@ def _write_binary(path, rate: float, t0: float, n: int, pieces) -> None:
     with output(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(rate, t0, n))
         for start, p in pieces:
-            _check_finite(p)
+            check_finite(p, "samples")
             fh.seek(_BIN_HEADER.size + 8 * start)
             # a contiguous little-endian piece is written from its own buffer, uncopied
             fh.write(np.ascontiguousarray(p, dtype="<f8").data)

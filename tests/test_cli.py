@@ -247,31 +247,88 @@ def test_maxrate_command(tmp_path):
     assert data["points"][1]["charge_c"] == pytest.approx(3.8e-14, rel=0.05)
 
 
-# numpy 2 imports numpy.ma lazily, and np.unique and np.median pull it in
-# (18-28 ms of import per process); no subcommand needs it.
-_RUN_AND_REPORT_NUMPY_MA = """
+# Runs one command on the golden config in a fresh interpreter and reports
+# the modules loaded before (with numpy) and after it.
+_RUN_AND_REPORT_MODULES = """
 import json, sys
 import numpy
-eager = "numpy.ma" in sys.modules
+eager = sorted(sys.modules)
 from unicsim import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "eager": eager, "loaded": "numpy.ma" in sys.modules}))
+print(json.dumps({"code": code, "eager": eager, "loaded": sorted(sys.modules)}))
 """
 
 
-@pytest.mark.parametrize("command", ["design", "spectrum", "waveform", "simulate", "characterize",
-                                     "sweep", "maxrate"])
-def test_no_command_imports_numpy_ma(tmp_path, command):
+def _modules_of(tmp_path, command) -> dict:
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**GOLDEN_CONFIG, "output_dir": str(tmp_path / "out")}))
-    res = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY_MA, command, "-c", str(cfg)],
+    res = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_MODULES, command, "-c", str(cfg)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout.splitlines()[-1])
-    if report["eager"]:
-        pytest.skip("this numpy imports numpy.ma with numpy itself")
     assert report["code"] == 0, res.stderr
-    assert not report["loaded"]
+    return report
+
+
+# numpy 2 imports numpy.ma lazily, and np.unique and np.median pull it in
+# (18-28 ms of import per process); no subcommand needs it.
+@pytest.mark.parametrize("command", ["design", "spectrum", "waveform", "simulate", "characterize",
+                                     "sweep", "maxrate"])
+def test_no_command_imports_numpy_ma(tmp_path, command):
+    report = _modules_of(tmp_path, command)
+    if "numpy.ma" in report["eager"]:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert "numpy.ma" not in report["loaded"]
+
+
+# Each command imports only the kernels it runs: the readout-chain commands
+# no simulator (nor the thread pool and logging it brings), the counting
+# commands no readout chain.
+@pytest.mark.parametrize("command, unused", [
+    ("design", ["unicsim.apd", "unicsim.acquisition", "unicsim.characterize", "concurrent.futures"]),
+    ("characterize", ["unicsim.network", "unicsim.waveform"]),
+])
+def test_a_command_imports_only_the_kernels_it_runs(tmp_path, command, unused):
+    assert not set(unused) & set(_modules_of(tmp_path, command)["loaded"])
+
+
+# The names `unicsim` has exported since its __init__ imported every module,
+# by the module each came from.
+_PACKAGE_NAMES = {
+    "network": ["Amplifier", "Attenuator", "BalanceInfeasibleError", "Coupler", "Delay", "FrequencyGrid",
+                "Notch", "NullMetrics", "SawBpf", "TwoPortResponse", "UnicDesign", "balance_attenuation",
+                "balanced_design", "block_response", "cascade", "chain_null_metrics", "chain_response",
+                "design_report", "metrics_grid", "null_metrics", "solve_unic_delay", "unic_response"],
+    "waveform": ["GateWaveSpec", "ImpulseSpec", "Waveform", "add_impulses", "add_noise", "apply_response",
+                 "synth_avalanche", "synth_capacitive", "synth_record"],
+    "apd": ["ClickProbabilities", "DetectorConfig", "EventStream", "SourceConfig", "expected_afterpulses",
+            "expected_click_prob", "pulse_ratio", "renewal_clicks_per_gate", "simulate", "simulate_blocks"],
+    "acquisition": ["AcquisitionConfig", "DiscriminatorSpec", "GateCounts", "Histogram", "TdcSpec", "classify",
+                    "count_rate", "discriminate", "histogram", "tdc"],
+    "characterize": ["RunReport", "SweepPoint", "SweepResult", "afterpulse_probability",
+                     "charge_from_photocurrent", "count_rate_vs_flux", "efficiency_at_afterpulse",
+                     "efficiency_sweep", "net_efficiency", "run_characterization"],
+    "presets": ["DETECTOR_PRESETS", "get_preset", "load_presets", "save_presets"],
+}
+
+_RESOLVE_PACKAGE_NAMES = """
+import importlib, json, sys
+import unicsim
+eager = sorted(m for m in sys.modules if m.startswith("unicsim."))
+listed = set(dir(unicsim))
+wrong = [f"{module}.{name}" for module, names in json.loads(sys.argv[1]).items() for name in names
+         if name not in listed
+         or getattr(unicsim, name) is not getattr(importlib.import_module(f"unicsim.{module}"), name)]
+print(json.dumps({"eager": eager, "wrong": wrong, "version": unicsim.__version__}))
+"""
+
+
+def test_package_names_resolve_on_first_use_to_their_modules_objects():
+    res = subprocess.run([sys.executable, "-c", _RESOLVE_PACKAGE_NAMES, json.dumps(_PACKAGE_NAMES)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert report == {"eager": [], "wrong": [], "version": "0.1.0"}
 
 
 # ---------------------------------------------------------------------------
