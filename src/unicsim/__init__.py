@@ -11,8 +11,9 @@ saturation and avalanche charge.
 
 import importlib
 
-# Each public name and the module it is read from on first use (PEP 562), so
+# Each public name and the module it is read from when used (PEP 562), so
 # that `import unicsim` loads no kernel and a subcommand only the ones it runs.
+# Nothing is cached here: `unicsim.X` is always its module's current `X`.
 _NAMES = {
     "config": ("AcquisitionConfig", "DetectorConfig", "DiscriminatorSpec", "FrequencyGrid", "Notch", "SawBpf",
                "SourceConfig", "TdcSpec"),
@@ -41,9 +42,7 @@ def __getattr__(name: str):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    globals()[name] = value
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
 def __dir__():

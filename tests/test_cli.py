@@ -323,7 +323,7 @@ print(json.dumps({"eager": eager, "wrong": wrong, "version": unicsim.__version__
 """
 
 
-def test_package_names_resolve_on_first_use_to_their_modules_objects():
+def test_package_names_resolve_on_use_to_their_modules_objects():
     res = subprocess.run([sys.executable, "-c", _RESOLVE_PACKAGE_NAMES, json.dumps(_PACKAGE_NAMES)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
