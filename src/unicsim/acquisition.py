@@ -206,7 +206,7 @@ def classify(ts: np.ndarray, f_g: float, r: int, illuminated_index: int,
     Each timestamp maps to gate round((t - offset) * f_g); `offset` removes
     any calibrated readout-chain delay.  Gates congruent to
     illuminated_index (mod r) are illuminated.  At most one click counts per
-    gate.
+    gate, and a timestamp that maps outside [0, n_gates) counts for none.
     """
     tally = _GateTally(f_g, r, illuminated_index, n_gates, offset)
     tally.add(ts)
@@ -234,10 +234,8 @@ class _GateTally:
 
     def add(self, ts: np.ndarray) -> None:
         gates = np.rint((np.asarray(ts, dtype=np.float64) - self.offset) * self.f_g).astype(np.int64)
-        if gates.size and (gates.min() < 0 or gates.max() >= self.n_gates):
-            raise ValueError("timestamp maps outside [0, n_gates)")
         hit = _distinct(gates)
-        hit = hit[hit > self.last]
+        hit = hit[(hit > self.last) & (hit < self.n_gates)]  # self.last >= -1: no negative gate is kept
         if hit.size:
             self.last = int(hit[-1])
         self.clicks += hit.size

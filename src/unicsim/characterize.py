@@ -109,16 +109,12 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 def afterpulse_probability(p_i: float, p_ni: float, p_d: float, r: int) -> float:
-    """Afterpulses per photon-induced event from gate-class click probabilities."""
+    """Afterpulses per photon-induced event from gate-class click probabilities;
+    signed, so negative when a finite run sees p_ni below p_d."""
     if r < 1:
         raise ValueError("r must be >= 1")
     if p_d < 0:
         raise ValueError("p_d must be >= 0")
-    if p_ni < p_d:
-        raise ValueError(
-            f"non-illuminated below dark (p_ni={p_ni:.6g} < p_d={p_d:.6g}); "
-            "statistical anomaly or misconfigured run"
-        )
     if p_i <= p_ni:
         raise ValueError(f"no net photon signal (p_i={p_i:.6g} <= p_ni={p_ni:.6g})")
     return (p_ni - p_d) * r / (p_i - p_ni)
@@ -230,11 +226,8 @@ def _characterize_streams(det, src, acq, n_gates, seed):
     s_ni = _binomial_sigma(p_ni, gc.n_gates_non_illuminated)
     s_d = _binomial_sigma(p_d, n_gates)
 
-    if p_ni == p_d:
-        p_a, s_a = 0.0, 0.0  # no excess non-illuminated counts
-    else:
-        p_a = afterpulse_probability(p_i, p_ni, p_d, r)
-        s_a = _afterpulse_sigma(p_i, p_ni, p_d, r, s_i, s_ni, s_d)
+    p_a = afterpulse_probability(p_i, p_ni, p_d, r)
+    s_a = _afterpulse_sigma(p_i, p_ni, p_d, r, s_i, s_ni, s_d)
     eta = net_efficiency(p_i, p_ni, src.mu)
     s_eta = _efficiency_sigma(p_i, p_ni, src.mu, s_i, s_ni)
 

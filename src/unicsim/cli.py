@@ -103,9 +103,9 @@ def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
         span = cfg.n_gates / det.f_g  # at an offset this large every stamp maps outside [0, n_gates)
         if (command != "simulate" or "json" in cfg.emit) and abs(cfg.acquisition.gate_offset) >= span:
             errors.append(f"acquisition.gate_offset: |gate_offset| must be < n_gates / f_g = {span!r} s")
-        if command != "simulate" and -math.expm1(-cfg.source.mu * det.eta_gate) == 1.0:
-            errors.append("source.mu: mu * eta_gate so large that every illuminated gate clicks "
-                          "(1 - exp(-mu * eta_gate) rounds to 1): eta_net has no finite value")
+        if command != "simulate" and not 0.0 < -math.expm1(-cfg.source.mu * det.eta_gate) < 1.0:
+            errors.append("source.mu: 1 - exp(-mu * eta_gate) must lie in (0, 1) in floating point: at 0 no photon "
+                          "is detected, at 1 every illuminated gate clicks; either way eta_net has no estimate")
         if r is None:
             continue
         if command != "simulate":
@@ -221,8 +221,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> list[str]:
     from . import network
     net, sp = cfg.network, cfg.network.spectrum
     chain = _chain(net)
-    metrics_grid = network.metrics_grid(step=min(sp.fine_step, 1e3))
-    metrics = network.chain_null_metrics(chain, metrics_grid, float(net.f_g))
+    metrics = network.chain_null_metrics(chain, network.metrics_grid(), float(net.f_g))
 
     written: list[str] = []
     if "csv" in cfg.emit:

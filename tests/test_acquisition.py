@@ -310,8 +310,13 @@ def test_classify_against_generator_oracle():
 
 
 def test_classify_out_of_range_timestamp():
-    with pytest.raises(ValueError, match="outside"):
-        classify(np.array([1.0]), F_G, r=125, illuminated_index=0, n_gates=1000)
+    period = 1.0 / F_G
+    # gates -1 (non-illuminated) and n_gates (illuminated) lie outside the run
+    # and count for nothing; gate 125 still counts
+    gc = classify(np.array([-period, 125 * period, 1000 * period, 1.0]), F_G, r=125, illuminated_index=0,
+                  n_gates=1000)
+    assert (gc.clicks_illuminated, gc.clicks_non_illuminated) == (1, 0)
+    assert gc.p_i == 1 / 8 and gc.p_ni == 0.0
     with pytest.raises(ValueError, match="illuminated_index"):
         classify(np.array([0.0]), F_G, r=125, illuminated_index=125, n_gates=1000)
 

@@ -311,6 +311,29 @@ def test_multi_block_streams_are_pinned(run, key_batch, monkeypatch):
     assert got == want
 
 
+def test_afterpulses_carry_across_block_edges():
+    # Traps that release over about 1250 gates: a block's first tau after
+    # its edge gets most of its afterpulses from the block before, which
+    # reach it only as carried targets (without them it sees about 40% as many).
+    det = DetectorConfig(eta_gate=0.25, dark_per_gate=1e-4, traps_per_avalanche=10.0, detrap_tau=1e-6,
+                         p_trigger=0.5)
+    src = SourceConfig(mode="cw_carved", laser_rate=det.f_g, mu=0.4)
+    n_gates, tau_gates = 4 * _CHUNK, round(det.detrap_tau * det.f_g)
+    s = simulate(det, src, n_gates, seed=4242)
+    region = np.zeros(n_gates, dtype=np.int8)  # 1: a tau after a block edge; 2: the run's start, left out
+    for edge in range(_CHUNK, n_gates, _CHUNK):
+        region[edge:edge + tau_gates] = 1
+    region[:10 * tau_gates] = 2
+    where = region[s.gate_index]
+    after = s.kind == KIND_AFTERPULSE
+    rate = np.sum(after & (where == 0)) / np.sum(~after & (where == 0))  # afterpulses per primary avalanche
+    expected = rate * np.sum(~after & (where == 1))
+    # each primary's afterpulses come as one cluster of mean `rate`, so the
+    # count's variance is expected * (1 + rate), not the Poisson expected
+    sigma = math.sqrt(expected * (1.0 + rate))
+    assert np.sum(after & (where == 1)) == pytest.approx(expected, abs=3 * sigma)
+
+
 def test_pulse_ratio_validation():
     det = DetectorConfig()
     assert pulse_ratio(det, SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.1)) == 125

@@ -52,8 +52,9 @@ def test_afterpulse_probability_no_excess_counts():
 def test_afterpulse_probability_errors():
     with pytest.raises(ValueError, match="no net photon signal"):
         afterpulse_probability(1e-5, 2e-5, 1e-6, 125)
-    with pytest.raises(ValueError, match="below dark"):
-        afterpulse_probability(0.02, 1e-6, 2e-6, 125)
+    # p_ni below p_d is reported as a signed, negative excess
+    assert afterpulse_probability(0.02, 1e-6, 2e-6, 125) == (1e-6 - 2e-6) * 125 / (0.02 - 1e-6)
+    assert afterpulse_probability(0.02, 1e-6, 2e-6, 125) == pytest.approx(-0.00625031, rel=1e-6)
     with pytest.raises(ValueError, match="r must"):
         afterpulse_probability(0.02, 2e-5, 1e-6, 0)
 
@@ -86,7 +87,7 @@ def test_run_characterization_recovers_configured_efficiency():
     det = DetectorConfig(eta_gate=0.25, dark_per_gate=0.0, traps_per_avalanche=0.0)
     src = SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.1, illuminated_gate_phase=5)
     report = run_characterization(det, src, ACQ0, n_gates=12_500_000, seed=101)
-    assert report.p_a == 0.0  # p_ni == p_d == 0 flagged as zero
+    assert report.p_a == 0.0  # p_ni == p_d == 0: no excess
     assert report.p_ni == 0.0 and report.p_d == 0.0
     assert abs(report.eta_net - 0.25) <= 3 * report.eta_net_sigma
     assert report.r == 125 and report.mu == 0.1

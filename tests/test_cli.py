@@ -389,14 +389,19 @@ def test_streamed_simulate_equals_the_whole_stream_path(tmp_path, capsys, name):
         assert np.any((block[1:] > block[:-1]) & (gates[1:] == gates[:-1]))
 
 
-def test_simulate_stamp_before_gate_zero_exits_3_and_leaves_no_file(tmp_path, capsys):
+def test_simulate_stamp_before_gate_zero_counts_for_no_gate(tmp_path):
     # a 2 ns readout offset maps the stamps of the first two gates below gate 0
     run = {**OFFSET_RUN, "acquisition": {**OFFSET_RUN["acquisition"], "gate_offset": 2e-9}}
     path = write_config(tmp_path, n_gates=10_000, **run)
-    assert cli.main(["simulate", "-c", str(path)]) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "runtime", "message": "ValueError: timestamp maps outside [0, n_gates)"}
-    assert list((tmp_path / "out").iterdir()) == []
+    assert cli.main(["simulate", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["events.csv", "summary.json", "timestamps.bin"]
+    ts = read_timestamps_binary(out / "timestamps.bin")
+    gates = np.rint((ts - 2e-9) * 1.25e9)
+    assert np.any(gates < 0)
+    gc = acquisition.classify(ts[gates >= 0], 1.25e9, 2, 1, 10_000, offset=2e-9)
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["p_i"], summary["p_ni"]) == (gc.p_i, gc.p_ni)
 
 
 # ---------------------------------------------------------------------------

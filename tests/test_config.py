@@ -68,6 +68,13 @@ DEFECTS = {
     # mu * eta_gate so large that 1 - exp(-mu * eta_gate) rounds to 1: every illuminated gate clicks
     **{f"source.mu {v} {c}": (c, [(("source", "mu"), v)], "source.mu")
        for c in ("characterize", "sweep") for v in (1e308, 200)},
+    # 1 - exp(-mu * eta_gate) == 0: no illuminated gate ever sees a photon
+    **{f"source.mu 0 {c}": (c, [(("source", "mu"), 0.0)], "source.mu") for c in ("characterize", "sweep")},
+    "eta_gate 0 characterize": (
+        "characterize", [(("detector_preset",), None), (("detector",), {"eta_gate": 0.0})], "source.mu"),
+    "eta_gate 0 sweep": (
+        "sweep", [(("sweep", "scenarios"), [{"label": "blind", "detector": {"eta_gate": 0.0}}, "apd1_0C"])],
+        "source.mu"),
     "pulsed R = 1 simulate": ("simulate", R_ONE, "source.laser_rate"),
     "n_gates past 2**52": ("simulate", [(("n_gates",), 2 ** 52 + 1)], "n_gates"),
     "pulsed R = 1 characterize": ("characterize", R_ONE, "source.laser_rate"),

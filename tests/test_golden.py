@@ -13,6 +13,7 @@ import json
 import pytest
 
 from unicsim import cli
+from unicsim.characterize import read_sweep_csv
 
 CONFIG = {
     "seed": 42,
@@ -98,6 +99,19 @@ def test_outputs_match_recorded_sha256(tmp_path, command):
     assert cli.main([command, "-c", str(cfg), "--output-dir", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert digests == GOLDEN[command]
+
+
+def test_sweep_exits_0_on_every_seed(tmp_path):
+    # at 2e5 gates a scenario's non-illuminated clicks often fall below the
+    # dark rate; its p_a is then reported negative, with its sigma, not refused
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    p_a = []
+    for seed in range(20):
+        out = tmp_path / f"out{seed}"
+        assert cli.main(["sweep", "-c", str(cfg), "--seed", str(seed), "--output-dir", str(out)]) == 0, seed
+        p_a += [p.p_a for p in read_sweep_csv(out / "sweep.csv").points]
+    assert min(p_a) < 0
 
 
 # Long waveform records, recorded like GOLDEN: 2e5 samples take the FIR

@@ -7,6 +7,7 @@ against the same run over one gate block.
 """
 
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_golden import CONFIG
+from test_golden import CONFIG, GOLDEN
 
 from unicsim import acquisition, apd, characterize, cli, network, presets, waveform
 
@@ -153,9 +154,21 @@ def test_spectrum_metrics_hold_two_float_arrays(tmp_path):
     raw.update(emit=["json"], output_dir=str(tmp_path))
     cfg = cli.parse("spectrum", raw)
     _, peak = _traced_peak(cli.cmd_spectrum, cfg)
-    n = network.metrics_grid(step=cfg.network.spectrum.fine_step).n_points  # 2e6 + 1 points
+    n = network.metrics_grid().n_points  # 2e6 + 1 points, whatever fine_step is
     # the background |H| values, filled a block at a time, and one block's temporaries
     assert peak <= 2 * 8 * n
+
+
+def test_spectrum_metrics_grid_does_not_follow_fine_step(tmp_path):
+    # the null metrics take the 1 kHz metrics grid whatever fine_step is: at
+    # 10 Hz the grid would hold 100 times the points
+    raw = copy.deepcopy(CONFIG)
+    raw["network"]["spectrum"]["fine_step"] = 10.0
+    raw.update(emit=["json"], output_dir=str(tmp_path))
+    _, peak = _traced_peak(cli.cmd_spectrum, cli.parse("spectrum", raw))
+    assert peak <= 2 * 8 * network.metrics_grid().n_points
+    digest = hashlib.sha256((tmp_path / "null_metrics.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN["spectrum"]["null_metrics.json"]  # the golden config's step is 1 kHz
 
 
 # A child's ru_maxrss counts the resident set of the process that forked it,
