@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._io import output, read_csv, read_json, write_csv, write_json
+from ._schema import Positive, check_fields
 from .apd import _distinct
 from .config import AcquisitionConfig, DiscriminatorSpec, TdcSpec
 
@@ -46,11 +47,12 @@ __all__ = [
 
 @dataclass
 class Histogram:
-    bin_width: float   # seconds
-    period: float      # seconds, fold period
-    bins: np.ndarray   # int64 counts
+    bin_width: Positive  # seconds
+    period: Positive     # seconds, fold period
+    bins: np.ndarray     # int64 counts
 
     def __post_init__(self):
+        check_fields(self)
         self.bins = np.asarray(self.bins, dtype=np.int64).view()
         self.bins.flags.writeable = False
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import Coded, read_csv, write_csv
+from ._schema import check_finite
 from .config import DetectorConfig, SourceConfig, _check_n_gates
 
 __all__ = [
@@ -93,8 +94,9 @@ class EventStream:
                 raise ValueError("gate_index must be nondecreasing")
             if np.any(self.kind >= len(KIND_NAMES)):
                 raise ValueError("unknown event kind code")
-            if np.any(self.charge <= 0):
-                raise ValueError("charges must be positive")
+            if not np.all(self.charge > 0):
+                raise ValueError("charge must be positive")
+            check_finite(self.time, "time")
         for a in (self.gate_index, self.time, self.kind, self.charge):
             a.flags.writeable = False
 

@@ -48,8 +48,11 @@ __all__ = [
 # 2**17 taps at 40 GS/s is a 3.3 us window, far beyond the SAW ring-down.
 DEFAULT_IR_LENGTH = 1 << 17
 _MAX_SINGLE_FFT = 1 << 22
-_IMPULSE_CHUNK = 1 << 13  # impulse samples placed at once by add_impulses (64 KB per array)
-_SEGMENT = 1 << 17  # samples synthesized at once, and squared at once by Waveform.rms
+# Samples computed at once: by synthesis, by Waveform.rms, and as impulse
+# samples by add_impulses.  Each float64 temporary is then 64 KB, below
+# glibc's 128 KB mmap threshold, so it comes from the heap.
+_BLOCK = 1 << 13
+_SEGMENT = 1 << 17  # samples per read of a synthesized record, and rows per CSV slice
 
 
 @dataclass
@@ -57,7 +60,7 @@ class Waveform:
     """Uniformly sampled real voltage trace."""
 
     sample_rate: Positive  # Hz
-    t0: float              # seconds
+    t0: Finite             # seconds
     samples: np.ndarray
 
     def __post_init__(self):
@@ -152,80 +155,61 @@ def _slicer(s: np.ndarray):
     return lambda i0, i1: s[i0:i1]
 
 
-def _sum_squares(read, i0: int, i1: int, scratch: np.ndarray):
+def _sum_squares(read, i0: int, i1: int):
     """np.add.reduce(s ** 2) of the samples s = read(i0, i1) in numpy's
-    pairwise order: halves split at a multiple of 8 down to leaves that fit
-    `scratch`, each read on its own and squared into it."""
-    if i1 - i0 <= scratch.size:
-        return np.add.reduce(np.square(read(i0, i1), out=scratch[:i1 - i0]))
+    pairwise order: halves split at a multiple of 8 down to leaves of up to
+    _BLOCK samples, each read and squared on its own."""
+    if i1 - i0 <= _BLOCK:
+        return np.add.reduce(np.square(read(i0, i1)))
     n2 = (i1 - i0) // 2
     n2 -= n2 % 8
-    return _sum_squares(read, i0, i0 + n2, scratch) + _sum_squares(read, i0 + n2, i1, scratch)
+    return _sum_squares(read, i0, i0 + n2) + _sum_squares(read, i0 + n2, i1)
 
 
 def _rms(n: int, read) -> float:
     """`Waveform.rms` of the n finite samples that read(i0, i1) returns a
-    leaf of up to _SEGMENT samples at a time.  Squares past the float64
+    leaf of up to _BLOCK samples at a time.  Squares past the float64
     range (samples above about 1.3e154) overflow the sum to inf; only then
     is the record scaled by its largest magnitude, so every other record
     keeps the digits of numpy's mean of squares."""
     if n == 0:
         return 0.0
-    scratch = np.empty(min(n, _SEGMENT))
     with np.errstate(over="ignore"):
-        total = _sum_squares(read, 0, n, scratch)
+        total = _sum_squares(read, 0, n)
     if math.isfinite(total):
         return float(np.sqrt(total / n))
-    leaves = range(0, n, _SEGMENT)
-    peak = max(float(np.abs(read(i, min(i + _SEGMENT, n))).max()) for i in leaves)
-    return peak * math.sqrt(_sum_squares(lambda i0, i1: read(i0, i1) / peak, 0, n, scratch) / n)
-
-
-def _gate(spec: GateWaveSpec, t: np.ndarray, y: np.ndarray, scratch: np.ndarray | None) -> None:
-    """The gate response at times `t` into `y`; each sine is evaluated in
-    place, the last harmonic in `t`, any other in `scratch`."""
-    np.multiply(2.0 * np.pi * spec.f_g, t, out=y)
-    np.sin(y, out=y)
-    y *= spec.fundamental_amp
-    for i, (order, amp, phase) in enumerate(spec.harmonics):
-        h = t if i == len(spec.harmonics) - 1 else scratch
-        np.multiply(2.0 * np.pi * order * spec.f_g, t, out=h)
-        h += phase
-        np.sin(h, out=h)
-        h *= amp
-        y += h
+    peak = max(float(np.abs(read(i, min(i + _BLOCK, n))).max()) for i in range(0, n, _BLOCK))
+    return peak * math.sqrt(_sum_squares(lambda i0, i1: read(i0, i1) / peak, 0, n) / n)
 
 
 def _source(spec: GateWaveSpec, rate: float, n: int, impulse: ImpulseSpec | None = None, times=(),
             noise_rms: float = 0.0, seed: int = 0):
     """read(i0, i1): samples i0..i1 of the n-sample record that
     `synth_capacitive`, `add_impulses` and `add_noise` make in turn, computed
-    from global sample indices a segment of up to _SEGMENT samples at a time,
-    in buffers allocated once.  Reads must go forward, as the noise is drawn
-    in order; a read of one segment returns a buffer the next read reuses."""
-    block = min(n, _SEGMENT)
-    ramp = np.arange(block, dtype=np.float64)
-    t, buf = np.empty(block), np.empty(block)
-    scratch = np.empty(block) if len(spec.harmonics) > 1 else None
+    from global sample indices: the gate response and the noise a block of
+    _BLOCK samples at a time, the impulses once per read.  Reads must go
+    forward, as the noise is drawn in order; a read of up to _SEGMENT
+    samples returns a buffer the next read reuses."""
+    buf = np.empty(min(n, _SEGMENT))
     add = None if impulse is None else _impulse_adder(impulse, rate, 0.0, n, times)
     if noise_rms < 0:
         raise ValueError("rms must be >= 0")
     rng = _philox(seed) if noise_rms > 0 else None
 
-    def fill(i0: int, y: np.ndarray) -> None:
-        m = y.size
-        np.add(ramp[:m], i0, out=t[:m])  # the global indices, exact as floats
-        t[:m] /= rate
-        _gate(spec, t[:m], y, scratch if scratch is None else scratch[:m])
-        if add is not None:
-            add(y, i0)
-        if rng is not None:
-            _add_noise(y, rng, noise_rms, t[:m])
-
     def read(i0: int, i1: int) -> np.ndarray:
-        out = buf[:i1 - i0] if i1 - i0 <= block else np.empty(i1 - i0)
-        for j in range(i0, i1, block):
-            fill(j, out[j - i0:min(j + block, i1) - i0])
+        out = buf[:i1 - i0] if i1 - i0 <= buf.size else np.empty(i1 - i0)
+        for j in range(i0, i1, _BLOCK):
+            t = np.arange(j, min(j + _BLOCK, i1), dtype=np.float64) / rate  # global indices, exact as floats
+            y = out[j - i0:j - i0 + t.size]
+            y[:] = np.sin(2.0 * np.pi * spec.f_g * t) * spec.fundamental_amp
+            for order, amp, phase in spec.harmonics:
+                y += np.sin(2.0 * np.pi * order * spec.f_g * t + phase) * amp
+        if add is not None:
+            add(out, i0)
+        if rng is not None:
+            for j in range(0, out.size, _BLOCK):
+                y = out[j:j + _BLOCK]
+                y += rng.standard_normal(y.size) * noise_rms
         return out
 
     return read
@@ -300,14 +284,13 @@ def _impulse_adder(spec: ImpulseSpec, rate: float, t0: float, n: int, times):
     half = max(1, int(round(6.0 * spec.fwhm * rate)))
     coeff = -4.0 * math.log(2.0) / spec.fwhm ** 2
     times = np.asarray(times, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(times)):
-        raise ValueError("impulse times must be finite")
+    check_finite(times, "impulse times")
     # int(c) held as a float, as are the sample indices, so that no ufunc
     # casts (a casting ufunc's buffers raised the waveform peak RSS); a
     # centre further than half + 2 samples outside the record adds nothing
     centres = np.trunc(np.clip((times - t0) * rate, -half - 2.0, n + half + 2.0))
     offsets = np.arange(-half, half + 1, dtype=np.float64)
-    step = max(1, _IMPULSE_CHUNK // offsets.size)
+    step = max(1, _BLOCK // offsets.size)
 
     def add(y: np.ndarray, i0: int) -> None:
         i1 = i0 + y.size
@@ -316,16 +299,8 @@ def _impulse_adder(spec: ImpulseSpec, rate: float, t0: float, n: int, times):
             chunk = touching[k:k + step]
             idx = np.add.outer(centres[chunk], offsets)
             inside = (idx >= i0) & (idx < i1)
-            t_rel = idx / rate
-            t_rel += t0
-            t_rel -= times[chunk, None]
-            v = t_rel[inside]  # peak * exp(coeff * t_rel**2), in place
-            np.square(v, out=v)
-            v *= coeff
-            np.exp(v, out=v)
-            v *= spec.peak
-            idx -= i0
-            np.add.at(y, idx[inside].astype(np.intp), v)
+            t_rel = (idx / rate + t0 - times[chunk, None])[inside]
+            np.add.at(y, (idx[inside] - i0).astype(np.intp), np.exp(np.square(t_rel) * coeff) * spec.peak)
 
     return add
 
@@ -439,22 +414,13 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
-def _add_noise(y: np.ndarray, rng: np.random.Generator, rms: float, z: np.ndarray) -> None:
-    """Add rms * z to `y`, z drawn into `z` as rng.normal(0.0, rms) draws it."""
-    rng.standard_normal(out=z)
-    z *= rms
-    y += z
-
-
 def add_noise(w: Waveform, rms: float, seed: int) -> Waveform:
     """Add white Gaussian noise from a counter-based (Philox) stream."""
     if rms < 0:
         raise ValueError("rms must be >= 0")
     if rms == 0:
         return Waveform(w.sample_rate, w.t0, w.samples)
-    y = w.samples.copy()
-    _add_noise(y, _philox(seed), rms, np.empty_like(y))
-    return Waveform(w.sample_rate, w.t0, y)
+    return Waveform(w.sample_rate, w.t0, w.samples + _philox(seed).standard_normal(len(w)) * rms)
 
 
 # ---------------------------------------------------------------------------

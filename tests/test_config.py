@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from test_golden import CONFIG as README
 
 from unicsim import cli, load_presets
-from unicsim.acquisition import AcquisitionConfig, DiscriminatorSpec, TdcSpec
-from unicsim.apd import DetectorConfig, SourceConfig
+from unicsim.acquisition import AcquisitionConfig, DiscriminatorSpec, Histogram, TdcSpec
+from unicsim.apd import DetectorConfig, EventStream, SourceConfig
 from unicsim.cli import ConfigError, NetworkConfig, SpectrumConfig, WaveformConfig
 from unicsim.network import (Amplifier, Attenuator, Coupler, Delay, FrequencyGrid, Notch, SawBpf,
                              UnicDesign)
-from unicsim.waveform import GateWaveSpec, ImpulseSpec
+from unicsim.waveform import GateWaveSpec, ImpulseSpec, Waveform
 
 
 def _set(cfg, path, value):
@@ -168,6 +168,7 @@ def test_int_for_float_is_passed_through():
 
 SAW = {"f_center": 1.25e9, "passband_20db": 35e6, "insertion_loss": 3.0, "group_delay": 3e-7}
 UNIC = {"f_g": 1.25e9, "t_g_saw": 0.0, "n": 0, "delta_t": 4e-10}  # (0 + 1/2) / f_g = 0.4 ns
+EVENT = {"gate_index": [0], "time": [1e-9], "kind": [0], "charge": [1e-15]}  # one event
 
 # (class, its other arguments, field, a value outside the field's range)
 BOUNDS = [
@@ -207,6 +208,11 @@ BOUNDS = [
     (NetworkConfig, {"saw": SawBpf(**SAW)}, "stages", 0),
     (WaveformConfig, {}, "noise_rms", -1e-6),
     (WaveformConfig, {}, "duration", INF),
+    (Waveform, {"sample_rate": 4e10, "samples": [0.0]}, "t0", INF),
+    (EventStream, EVENT, "time", -INF),
+    (EventStream, EVENT, "charge", 0.0),
+    (Histogram, {"period": 8e-11, "bins": [1]}, "bin_width", -1e-11),
+    (Histogram, {"bin_width": 1e-11, "bins": [1]}, "period", 0.0),
 ]
 
 PINNED = {

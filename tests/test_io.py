@@ -3,6 +3,7 @@ its floats the bytes of `repr`."""
 
 import csv
 import math
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unicsim import _cells, _io, acquisition, apd, presets
+from unicsim import _cells, _io, acquisition, apd, presets, waveform
 
 FLOATS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1]),
@@ -105,6 +106,21 @@ def test_a_failed_write_leaves_no_file(tmp_path, write, error):
     with pytest.raises(error):
         write(path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("content, read", [
+    (struct.pack("<ddQ", 4e10, math.nan, 1) + struct.pack("<d", 0.0), waveform.read_waveform_binary),
+    ("gate_index,time_s,kind,charge_c\r\n0,nan,photon,1e-15\r\n", apd.read_events_csv),
+    ("gate_index,time_s,kind,charge_c\r\n0,1e-09,photon,nan\r\n", apd.read_events_csv),
+], ids=["waveform t0", "event time", "event charge"])
+def test_a_read_of_a_non_finite_value_raises(tmp_path, content, read):
+    path = tmp_path / "file"
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ValueError, match="must be"):
+        read(path)
 
 
 # ---------------------------------------------------------------------------

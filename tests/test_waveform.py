@@ -200,7 +200,7 @@ def test_add_impulses_matches_loop_reference_bytes(case, monkeypatch):
     want = _add_impulses_loop(w, spec, times)
     assert add_impulses(w, spec, times).samples.tobytes() == want.tobytes()
     # and when the impulses are placed a few at a time
-    monkeypatch.setattr(waveform, "_IMPULSE_CHUNK", 200)
+    monkeypatch.setattr(waveform, "_BLOCK", 200)
     assert add_impulses(w, spec, times).samples.tobytes() == want.tobytes()
 
 
@@ -323,7 +323,9 @@ def test_add_noise_negative_rms_rejected():
 GATE_SPECS = [GateWaveSpec(F_G, 0.42), GateWaveSpec(F_G, 0.42, ((2, 0.084, 0.0),)),
               GateWaveSpec(F_G, 0.42, ((2, 0.084, 0.3), (3, 0.02, -1.0)))]
 IMPULSE = ImpulseSpec(fwhm=150e-12, peak=1e-3)
-N_SEGMENTED = 20_001  # 1000-sample segments, the last one a single sample
+N_SEGMENTED = 20_001  # 1000-sample segments or blocks, the last one a single sample
+# (segment, block): block edges on the segment edges, then inside each read
+SEGMENT_BLOCKS = [(1000, waveform._BLOCK), (waveform._SEGMENT, 1000)]
 
 
 def _synth_reference(spec, n):
@@ -343,13 +345,14 @@ def _philox_normal(seed, rms, n):
 @pytest.mark.parametrize("spec", GATE_SPECS, ids=["fundamental", "one harmonic", "two harmonics"])
 def test_synth_capacitive_by_segment_equals_whole_record(spec, segment, monkeypatch):
     monkeypatch.setattr(waveform, "_SEGMENT", segment)
-    w = synth_capacitive(spec, N_SEGMENTED / RATE, RATE)
-    assert w.samples.tobytes() == _synth_reference(spec, N_SEGMENTED).tobytes()
+    for block in (waveform._BLOCK, 1000):
+        monkeypatch.setattr(waveform, "_BLOCK", block)
+        w = synth_capacitive(spec, N_SEGMENTED / RATE, RATE)
+        assert w.samples.tobytes() == _synth_reference(spec, N_SEGMENTED).tobytes(), block
 
 
 @pytest.mark.parametrize("case", ["straddling", "overlapping unsorted", "edges"])
 def test_impulses_by_segment_equal_whole_record_impulses(case, monkeypatch):
-    monkeypatch.setattr(waveform, "_SEGMENT", 1000)
     rng = np.random.default_rng(12)
     span = N_SEGMENTED / RATE
     times = {
@@ -360,16 +363,21 @@ def test_impulses_by_segment_equal_whole_record_impulses(case, monkeypatch):
     }[case]
     spec = GATE_SPECS[1]
     want = _add_impulses_loop(Waveform(RATE, 0.0, _synth_reference(spec, N_SEGMENTED)), IMPULSE, times)
-    got = synth_record(spec, span, RATE, impulse=IMPULSE, times=times)
-    assert got.samples.tobytes() == want.tobytes()
+    for segment, block in SEGMENT_BLOCKS:
+        monkeypatch.setattr(waveform, "_SEGMENT", segment)
+        monkeypatch.setattr(waveform, "_BLOCK", block)
+        got = synth_record(spec, span, RATE, impulse=IMPULSE, times=times)
+        assert got.samples.tobytes() == want.tobytes(), (segment, block)
 
 
 def test_noise_by_segment_equals_one_normal_call(monkeypatch):
-    monkeypatch.setattr(waveform, "_SEGMENT", 1000)
     spec = GATE_SPECS[1]
     want = _synth_reference(spec, N_SEGMENTED) + _philox_normal(9, 1e-3, N_SEGMENTED)
-    got = synth_record(spec, N_SEGMENTED / RATE, RATE, noise_rms=1e-3, seed=9)
-    assert got.samples.tobytes() == want.tobytes()
+    for segment, block in SEGMENT_BLOCKS:
+        monkeypatch.setattr(waveform, "_SEGMENT", segment)
+        monkeypatch.setattr(waveform, "_BLOCK", block)
+        got = synth_record(spec, N_SEGMENTED / RATE, RATE, noise_rms=1e-3, seed=9)
+        assert got.samples.tobytes() == want.tobytes(), (segment, block)
     w = Waveform(RATE, 0.0, _synth_reference(spec, N_SEGMENTED))
     assert add_noise(w, 1e-3, 9).samples.tobytes() == want.tobytes()
 
@@ -398,10 +406,12 @@ RMS_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 1000, 8191, 65_535, 65_536, 65_543, 1
 @pytest.mark.parametrize("leaf", [128, 1000, waveform._SEGMENT])
 def test_rms_equals_numpys_mean_of_squares(leaf, monkeypatch):
     monkeypatch.setattr(waveform, "_SEGMENT", leaf)
-    rng = np.random.default_rng(8)
-    for n in RMS_SIZES:
-        s = rng.standard_normal(n) * 1e-3
-        assert Waveform(RATE, 0.0, s).rms() == float(np.sqrt(np.mean(s ** 2))), n
+    for block in (waveform._BLOCK, 128, 1000):  # the leaf cap
+        monkeypatch.setattr(waveform, "_BLOCK", block)
+        rng = np.random.default_rng(8)
+        for n in RMS_SIZES:
+            s = rng.standard_normal(n) * 1e-3
+            assert Waveform(RATE, 0.0, s).rms() == float(np.sqrt(np.mean(s ** 2))), (block, n)
 
 
 @pytest.mark.parametrize("leaf", [128, waveform._SEGMENT])
@@ -414,8 +424,10 @@ def test_rms_of_samples_whose_squares_overflow_is_finite(leaf, monkeypatch):
     s = np.random.default_rng(9).standard_normal(1000)
     big = s * 2.0 ** 600
     peak = np.abs(s).max()
-    assert Waveform(RATE, 0.0, big).rms() == pytest.approx(Waveform(RATE, 0.0, s).rms() * 2.0 ** 600, rel=1e-14)
-    assert Waveform(RATE, 0.0, big).rms() == peak * 2.0 ** 600 * math.sqrt(np.mean((s / peak) ** 2))
+    for block in (waveform._BLOCK, 128, 1000):
+        monkeypatch.setattr(waveform, "_BLOCK", block)
+        assert Waveform(RATE, 0.0, big).rms() == pytest.approx(Waveform(RATE, 0.0, s).rms() * 2.0 ** 600, rel=1e-14)
+        assert Waveform(RATE, 0.0, big).rms() == peak * 2.0 ** 600 * math.sqrt(np.mean((s / peak) ** 2))
 
 
 # ---------------------------------------------------------------------------
