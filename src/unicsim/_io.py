@@ -167,6 +167,14 @@ def read_csv(path, header) -> list[list[str]]:
     return [list(c) for c in zip(*rows)] if rows else [[] for _ in header]
 
 
+def read_exact(fh, size: int, what: str) -> bytes:
+    """The next `size` bytes of the binary file `fh`; ValueError if it ends first."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated {what} file")
+    return data
+
+
 def write_json(path, obj) -> None:
     with output(path) as fh:
         json.dump(obj, fh, indent=2)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._io import output, read_csv, read_json, write_csv, write_json
+from ._io import output, read_csv, read_exact, read_json, write_csv, write_json
 from ._schema import Positive, check_fields
 from .apd import _distinct
 from .config import AcquisitionConfig, DiscriminatorSpec, TdcSpec
@@ -247,14 +247,9 @@ class _GateTally:
         n_ill = len(range(self.illuminated_index, self.n_gates, self.r))
         n_ni = self.n_gates - n_ill
         clicks_ni = self.clicks - self.clicks_ill
-        return GateCounts(
-            n_gates_illuminated=n_ill,
-            n_gates_non_illuminated=n_ni,
-            clicks_illuminated=self.clicks_ill,
-            clicks_non_illuminated=clicks_ni,
-            p_i=self.clicks_ill / n_ill if n_ill else 0.0,
-            p_ni=clicks_ni / n_ni if n_ni else 0.0,
-        )
+        return GateCounts(n_gates_illuminated=n_ill, n_gates_non_illuminated=n_ni,
+                          clicks_illuminated=self.clicks_ill, clicks_non_illuminated=clicks_ni,
+                          p_i=self.clicks_ill / n_ill if n_ill else 0.0, p_ni=clicks_ni / n_ni if n_ni else 0.0)
 
 
 def count_rate(ts: np.ndarray, span: float) -> float:
@@ -308,10 +303,8 @@ def _timestamps_writer(path):
 
 def read_timestamps_binary(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        (n,) = struct.unpack("<Q", fh.read(8))
-        ps = np.frombuffer(fh.read(8 * n), dtype="<i8")
-    if ps.size != n:
-        raise ValueError("truncated timestamp file")
+        (n,) = struct.unpack("<Q", read_exact(fh, 8, "timestamp"))
+        ps = np.frombuffer(read_exact(fh, 8 * n, "timestamp"), dtype="<i8")
     return ps.astype(np.float64) * 1e-12
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._io import read_csv, read_json, write_csv, write_json
-from .acquisition import _block_tdc, classify
+from .acquisition import _block_tdc, _GateTally
 from .apd import KIND_NAMES, pulse_ratio, simulate_blocks
 from .config import AcquisitionConfig, DetectorConfig, SourceConfig, TdcSpec, _check_flux_list
 
@@ -170,20 +170,19 @@ def _pulsed_ratio(det: DetectorConfig, src: SourceConfig, n_gates: int | None = 
 class _Run(NamedTuple):
     """One simulated run, reduced one gate block at a time."""
 
-    kept: int                         # stamps kept by the TDC
-    counts: dict[str, int]            # events by kind
-    charge: float                     # summed avalanche charge, C
-    stamps: np.ndarray | None = None  # the kept stamps, when a caller gathers them
+    kept: int               # stamps kept by the TDC
+    counts: dict[str, int]  # events by kind
+    charge: float           # summed avalanche charge, C
 
 
 def _run(det: DetectorConfig, src: SourceConfig, spec: TdcSpec, n_gates: int, seed: int,
-         events=None, stamps=None) -> _Run:
+         events=None, stamps=()) -> _Run:
     """`simulate` then `tdc`, one block at a time, holding no more than one
-    block of events.  `events(gate_index, time, kind, charge)` and
-    `stamps(ts)`, when given, see each block's events and then its kept
-    stamps.  The kinds and charges are reduced, and each array is freed once
-    used; the TDC then quantizes the times in place, so `events` must not
-    keep them.  The charge sum adds each block's `np.sum` in block order."""
+    block of events.  `events(gate_index, time, kind, charge)`, when given,
+    sees each block's events, and each sink of `stamps` its kept stamps when
+    it keeps any.  The kinds and charges are reduced, and each array is freed
+    once used; the TDC then quantizes the times in place, so `events` must
+    not keep them.  The charge sum adds each block's `np.sum` in block order."""
     tdc_block = _block_tdc(spec)
     kept, by_kind, charge = 0, np.zeros(len(KIND_NAMES), dtype=np.int64), 0.0
     for gates, time, kind, q in simulate_blocks(det, src, n_gates, seed):
@@ -196,28 +195,24 @@ def _run(det: DetectorConfig, src: SourceConfig, spec: TdcSpec, n_gates: int, se
         ts = tdc_block(time)
         del time  # the stamps, unless `ts` is a view of them
         kept += ts.size
-        if stamps is not None:
-            stamps(ts)
+        for sink in stamps if ts.size else ():  # the dark run's blocks are mostly empty
+            sink(ts)
         del ts  # freed before the next block is drawn
     return _Run(kept, dict(zip(KIND_NAMES, by_kind.tolist())), charge)
 
 
-def _gathered(det: DetectorConfig, src: SourceConfig, spec: TdcSpec, n_gates: int, seed: int) -> _Run:
-    """`_run` that keeps its stamps."""
-    stamps = []
-    return _run(det, src, spec, n_gates, seed, stamps=stamps.append)._replace(stamps=np.concatenate(stamps))
-
-
-def _characterize_streams(det, src, acq, n_gates, seed):
-    """(report, laser-on run) for reuse by sweep drivers; the run keeps its stamps."""
+def _characterize_streams(det, src, acq, n_gates, seed, stamps=()):
+    """(report, laser-on run) for reuse by sweep drivers.  Both runs are
+    tallied a block at a time; the sinks of `stamps` also see each block of
+    the laser-on run's kept stamps."""
     r = _pulsed_ratio(det, src, n_gates)
     seed_on, seed_off = _derived_seeds(seed)
 
-    on = _gathered(det, src, acq.tdc, n_gates, seed_on)
-    gc = classify(on.stamps, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
-
-    ts_off = _gathered(det, replace(src, mu=0.0), acq.tdc, n_gates, seed_off).stamps
-    gc_off = classify(ts_off, det.f_g, r, src.illuminated_gate_phase, n_gates, offset=acq.gate_offset)
+    tally, tally_off = (_GateTally(det.f_g, r, src.illuminated_gate_phase, n_gates, acq.gate_offset)
+                        for _ in range(2))
+    on = _run(det, src, acq.tdc, n_gates, seed_on, stamps=(tally.add, *stamps))
+    _run(det, replace(src, mu=0.0), acq.tdc, n_gates, seed_off, stamps=(tally_off.add,))
+    gc, gc_off = tally.counts(), tally_off.counts()
     dark_clicks = gc_off.clicks_illuminated + gc_off.clicks_non_illuminated
     p_d = dark_clicks / n_gates
 

@@ -115,9 +115,10 @@ def _check_runs(command: str, cfg: ExperimentConfig, errors: list) -> None:
 
 
 def _check_spectrum(cfg: ExperimentConfig, errors: list) -> None:
-    """The spectrum.csv grids, built as `cmd_spectrum` builds them."""
+    """The null-metrics grid and the spectrum.csv grids, built as `cmd_spectrum` builds them."""
     from . import network
     sp = cfg.network.spectrum
+    _checked(errors, "network.f_g", network._check_metrics_grid, network.metrics_grid(), float(cfg.network.f_g))
     _checked(errors, "network.spectrum.fine_span", _fine_grid, cfg.network)
     _checked(errors, "network.spectrum.coarse_step", network.metrics_grid,
              sp.f_start, sp.f_stop, sp.coarse_step)
@@ -273,14 +274,15 @@ def cmd_waveform(cfg: ExperimentConfig) -> list[str]:
 def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
     from . import acquisition, apd, characterize
     det, src, acq, n_gates = cfg.detector, cfg.source, cfg.acquisition, cfg.n_gates
-    tally = None
-    if src.mode == "pulsed" and "json" in cfg.emit:
-        tally = acquisition._GateTally(det.f_g, apd.pulse_ratio(det, src), src.illuminated_gate_phase,
-                                       n_gates, acq.gate_offset)
     # the run is written into its files a block at a time; a failed run leaves none
     written: list[str] = []
     with contextlib.ExitStack() as files:
-        write_stamps = files.enter_context(acquisition._timestamps_writer(_out(cfg, "timestamps.bin", written)))
+        stamps = [files.enter_context(acquisition._timestamps_writer(_out(cfg, "timestamps.bin", written)))]
+        tally = None
+        if src.mode == "pulsed" and "json" in cfg.emit:
+            tally = acquisition._GateTally(det.f_g, apd.pulse_ratio(det, src), src.illuminated_gate_phase,
+                                           n_gates, acq.gate_offset)
+            stamps.append(tally.add)
         events = None
         if "csv" in cfg.emit:
             rows = files.enter_context(_io.csv_rows(_out(cfg, "events.csv", written), apd._EVENTS_HEADER))
@@ -288,35 +290,33 @@ def cmd_simulate(cfg: ExperimentConfig) -> list[str]:
             def events(*block):
                 rows(apd._event_columns(*block))
 
-        def stamps(ts):
-            write_stamps(ts)
-            if tally is not None:
-                tally.add(ts)
-
         run = characterize._run(det, src, acq.tdc, n_gates, cfg.seed, events, stamps)
     n_events = sum(run.counts.values())
     if "json" in cfg.emit:
         summary = {"n_gates": n_gates, "n_events": n_events, "counts": run.counts, "n_timestamps": run.kept}
         if tally is not None:
             gc = tally.counts()
-            summary["p_i"] = gc.p_i
-            summary["p_ni"] = gc.p_ni
+            summary.update(p_i=gc.p_i, p_ni=gc.p_ni)
         _io.write_json(_out(cfg, "summary.json", written), summary)
     print(f"simulate: n_events={n_events} counts={run.counts}")
     return written
 
 
 def cmd_characterize(cfg: ExperimentConfig) -> list[str]:
-    from . import acquisition, characterize
-    det = cfg.detector
-    report, on = characterize._characterize_streams(det, cfg.source, cfg.acquisition, cfg.n_gates, cfg.seed)
+    from . import acquisition, apd, characterize
+    det, src = cfg.detector, cfg.source
+    period = apd.pulse_ratio(det, src) / det.f_g  # R / f_g: the fold period
+    bins = np.zeros(acquisition._fold_bins(period, cfg.histogram_bin), dtype=np.int64)  # summed a block at a time
+    fold = [lambda ts: np.add(bins, acquisition.histogram(ts, period, cfg.histogram_bin).bins, out=bins)]
+    report, _ = characterize._characterize_streams(det, src, cfg.acquisition, cfg.n_gates, cfg.seed,
+                                                   fold if "csv" in cfg.emit else [])
     written: list[str] = []
     if "json" in cfg.emit:
         characterize.write_run_report(_out(cfg, "run_report.json", written), report)
         gc = acquisition.GateCounts(**{f.name: getattr(report, f.name) for f in fields(acquisition.GateCounts)})
         acquisition.write_gate_counts_json(_out(cfg, "gate_counts.json", written), gc)
     if "csv" in cfg.emit:
-        hist = acquisition.histogram(on.stamps, report.r / det.f_g, cfg.histogram_bin)
+        hist = acquisition.Histogram(cfg.histogram_bin, period, bins)
         acquisition.write_histogram_csv(_out(cfg, "histogram.csv", written), hist)
     print(f"characterize: eta_net={report.eta_net!r} p_a={report.p_a!r} p_d={report.p_d!r}")
     return written

@@ -386,14 +386,19 @@ def _median(a: np.ndarray) -> float:
     return float(a[hi]) if lo == hi else float((a[lo] + a[hi]) / 2)
 
 
+def _check_metrics_grid(grid: FrequencyGrid, f_g: float) -> None:
+    """Raise ValueError unless `grid` brackets f_g with a step of at most 1 kHz."""
+    if not grid.f_start < f_g < grid.f_stop:
+        raise ValueError(f"grid {grid.f_start:.6g}-{grid.f_stop:.6g} Hz does not bracket f_g = {f_g:.6g} Hz")
+    if grid.step > 1e3 * (1 + 1e-9):
+        raise ValueError(f"grid too coarse near f_g: step {grid.step:.6g} Hz exceeds 1 kHz")
+
+
 def _null_metrics(grid: FrequencyGrid, f_g: float, blocks) -> NullMetrics:
     """`null_metrics` of the |H| that `blocks` yields as (frequencies, |H|)
     of consecutive grid blocks.  Only the background values and the search
     window around f_g are kept."""
-    if not grid.f_start < f_g < grid.f_stop:
-        raise ValueError("grid does not bracket f_g")
-    if grid.step > 1e3 * (1 + 1e-9):
-        raise ValueError(f"grid too coarse near f_g: step {grid.step:.6g} Hz exceeds 1 kHz")
+    _check_metrics_grid(grid, f_g)
     bg_mag = np.empty(grid.n_points)
     n_bg = 0
     near_f, near_mag = [], []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_rows, output, read_csv
+from ._io import csv_rows, output, read_csv, read_exact
 from ._schema import Finite, NonNegative, Positive, check_fields, check_finite
 from .config import DEFAULT_SAMPLE_RATE
 from .network import TwoPortResponse
@@ -479,8 +479,6 @@ def write_waveform_binary(path, w: Waveform) -> None:
 
 def read_waveform_binary(path) -> Waveform:
     with open(path, "rb") as fh:
-        rate, t0, n = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-    if data.size != n:
-        raise ValueError("truncated waveform file")
+        rate, t0, n = _BIN_HEADER.unpack(read_exact(fh, _BIN_HEADER.size, "waveform"))
+        data = np.frombuffer(read_exact(fh, 8 * n, "waveform"), dtype="<f8")
     return Waveform(rate, t0, data.copy())

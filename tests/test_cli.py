@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from unicsim import _io, acquisition, apd, cli, network, waveform
+from unicsim import _io, acquisition, apd, characterize, cli, network, waveform
 from unicsim.acquisition import read_gate_counts_json, read_histogram_csv, read_timestamps_binary
 from unicsim.apd import read_events_csv
 from unicsim.characterize import read_run_report, read_sweep_csv
@@ -402,6 +403,38 @@ def test_simulate_stamp_before_gate_zero_counts_for_no_gate(tmp_path):
     gc = acquisition.classify(ts[gates >= 0], 1.25e9, 2, 1, 10_000, offset=2e-9)
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["p_i"], summary["p_ni"]) == (gc.p_i, gc.p_ni)
+
+
+def test_characterize_block_tallies_equal_the_whole_run_reduce(tmp_path):
+    # a dense pulsed source (R = 2) over three block edges, read with a
+    # readout offset and the README's 2 ns dead time; the reference gathers
+    # each run's kept stamps and reduces them whole
+    path = write_config(tmp_path, n_gates=EDGE_N_GATES, seed=9, emit=["csv", "json"], histogram_bin=1e-11,
+                        detector={**DETECTOR, "dark_per_gate": 1e-3},
+                        source={"mode": "pulsed", "laser_rate": 6.25e8, "mu": 3.0, "illuminated_gate_phase": 1},
+                        acquisition={**README_ACQ, "gate_offset": 3e-10})
+    assert cli.main(["characterize", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+
+    cfg = cli.parse("characterize", json.loads(path.read_text()))
+    det, src, acq, n = cfg.detector, cfg.source, cfg.acquisition, cfg.n_gates
+    seed_on, seed_off = characterize._derived_seeds(cfg.seed)
+
+    def gathered(source, seed):
+        blocks = []
+        characterize._run(det, source, acq.tdc, n, seed, stamps=(blocks.append,))
+        assert len(blocks) == 4
+        ts = np.concatenate(blocks)
+        return ts, acquisition.classify(ts, det.f_g, 2, 1, n, offset=acq.gate_offset)
+
+    ts, gc = gathered(src, seed_on)
+    _, gc_off = gathered(replace(src, mu=0.0), seed_off)
+    assert read_gate_counts_json(out / "gate_counts.json") == gc
+    report = read_run_report(out / "run_report.json")
+    assert report.dark_clicks == gc_off.clicks_illuminated + gc_off.clicks_non_illuminated > 0
+    hist = acquisition.histogram(ts, 2 / det.f_g, cfg.histogram_bin)
+    starts, counts = read_histogram_csv(out / "histogram.csv")
+    assert np.array_equal(counts, hist.bins) and np.array_equal(starts, hist.bin_starts())
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,10 @@ DEFECTS = {
         "spectrum", [(("network", "spectrum", "fine_span"), 1e10)], "network.spectrum.fine_span"),
     "coarse_step past f_stop": (
         "spectrum", [(("network", "spectrum", "coarse_step"), 1e10)], "network.spectrum.coarse_step"),
+    # f_g outside the fixed 0.1-2.1 GHz null-metrics grid, with the SAW and band-stop moved to match
+    **{f"network.f_g {v} outside the metrics grid": (
+        "spectrum", [(("network", "f_g"), v), (("network", "saw", "f_center"), v),
+                     (("network", "band_stop", "f_center"), 2 * v)], "network.f_g") for v in (3e9, 5e7)},
     "infeasible balance for spectrum": (
         "spectrum", [(("network", "coupler_tap"), 0.1)], "network.coupler_tap"),
     "infeasible balance for filtered waveform": (

@@ -123,6 +123,22 @@ def test_a_read_of_a_non_finite_value_raises(tmp_path, content, read):
         read(path)
 
 
+@pytest.mark.parametrize("content, read, what", [
+    (b"", waveform.read_waveform_binary, "waveform"),
+    (b"\0\0\0", waveform.read_waveform_binary, "waveform"),
+    (struct.pack("<ddQ", 4e10, 0.0, 2) + struct.pack("<d", 0.0), waveform.read_waveform_binary, "waveform"),
+    (b"", acquisition.read_timestamps_binary, "timestamp"),
+    (b"\0\0\0", acquisition.read_timestamps_binary, "timestamp"),
+    (struct.pack("<Qq", 2, 0) + b"\0\0\0", acquisition.read_timestamps_binary, "timestamp"),
+], ids=["waveform empty", "waveform short header", "waveform short body",
+        "timestamps empty", "timestamps short header", "timestamps short body"])
+def test_a_read_of_a_truncated_binary_file_raises(tmp_path, content, read, what):
+    path = tmp_path / "file"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"truncated {what} file"):
+        read(path)
+
+
 # ---------------------------------------------------------------------------
 # Floats print as repr, integers as %d
 # ---------------------------------------------------------------------------

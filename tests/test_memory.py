@@ -75,6 +75,24 @@ def test_count_rate_vs_flux_holds_one_block():
     assert eight <= 1.1 * one
 
 
+def test_characterize_and_sweep_hold_one_block(monkeypatch):
+    # R = 2 at flux 3: the TDC keeps about 0.16 stamps a gate, which the two
+    # runs of a characterization tally a block at a time; one worker, so
+    # that sweep points do not overlap by chance
+    monkeypatch.setenv("UNIC_SIM_THREADS", "1")
+    det = presets.get_preset("apd1_minus30C")
+    src = apd.SourceConfig(mode="pulsed", laser_rate=det.f_g / 2, mu=3.0, illuminated_gate_phase=1)
+    acq = acquisition.AcquisitionConfig()  # the README's 2 ns TDC dead time
+    runs = {
+        "characterize": lambda n: characterize._characterize_streams(det, src, acq, n, 1),
+        "sweep": lambda n: characterize.efficiency_sweep([("a", det), ("b", det)], src, acq, n, 1),
+    }
+    for name, run in runs.items():
+        _, one = _traced_peak(run, apd._CHUNK)
+        _, eight = _traced_peak(run, 8 * apd._CHUNK)
+        assert eight <= 1.1 * one, name
+
+
 def test_one_dense_counting_block_holds_little_more_than_its_events():
     # flux 3 on every gate clicks about 47% of a block's 2**20 gates: the four
     # event arrays (8 + 8 + 1 + 8 bytes an event) take about 12 MB, and the
