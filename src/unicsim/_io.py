@@ -168,8 +168,10 @@ def read_csv(path, header) -> list[list[str]]:
 
 
 def read_exact(fh, size: int, what: str) -> bytes:
-    """The next `size` bytes of the binary file `fh`; ValueError if it ends first."""
-    data = fh.read(size)
+    """The next `size` bytes of the binary file `fh`; ValueError if it ends
+    first, told from the file's size before anything is read, so that a
+    header's overstated count allocates nothing."""
+    data = fh.read(size) if size <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
     if len(data) != size:
         raise ValueError(f"truncated {what} file")
     return data

@@ -3,7 +3,7 @@
 Records are uniformly sampled voltage traces.  Filtering through a network
 response is circular FFT convolution with a sampled impulse response: long
 records are processed by overlap-add segments whose wrapped tail makes the
-segmented result identical to the single-block one.  Circular semantics mean
+segmented result equal one FFT of the whole record, to rounding.  Circular semantics mean
 an exactly record-periodic gate waveform is suppressed at the steady-state
 null depth with no turn-on transient.
 
@@ -47,7 +47,6 @@ __all__ = [
 # Impulse responses are sampled on this many points;
 # 2**17 taps at 40 GS/s is a 3.3 us window, far beyond the SAW ring-down.
 DEFAULT_IR_LENGTH = 1 << 17
-_MAX_SINGLE_FFT = 1 << 22
 # Samples computed at once: by synthesis, by Waveform.rms, and as impulse
 # samples by add_impulses.  Each float64 temporary is then 64 KB, below
 # glibc's 128 KB mmap threshold, so it comes from the heap.
@@ -192,9 +191,7 @@ def _source(spec: GateWaveSpec, rate: float, n: int, impulse: ImpulseSpec | None
     samples returns a buffer the next read reuses."""
     buf = np.empty(min(n, _SEGMENT))
     add = None if impulse is None else _impulse_adder(impulse, rate, 0.0, n, times)
-    if noise_rms < 0:
-        raise ValueError("rms must be >= 0")
-    rng = _philox(seed) if noise_rms > 0 else None
+    rng = _noise_rng(noise_rms, seed)
 
     def read(i0: int, i1: int) -> np.ndarray:
         out = buf[:i1 - i0] if i1 - i0 <= buf.size else np.empty(i1 - i0)
@@ -226,9 +223,9 @@ def synth_record(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_SAMP
                  response: TwoPortResponse | None = None) -> Waveform:
     """`synth_capacitive`, then `add_impulses` of `impulse` at `times` if
     given, then `add_noise`, then `apply_response` of `response` if given,
-    with the same samples.  A filtered record past _MAX_SINGLE_FFT samples
-    is synthesized one 2**17-sample overlap-add segment at a time, so only
-    the output record is held whole."""
+    with the same samples.  A filtered record past DEFAULT_IR_LENGTH
+    samples is synthesized one 2**17-sample overlap-add segment at a time,
+    so only the output record is held whole."""
     n, pieces = _record(spec, duration, rate, impulse, times, noise_rms, seed, response)
     return Waveform(rate, 0.0, _gather(n, pieces))
 
@@ -321,10 +318,6 @@ def add_impulses(w: Waveform, spec: ImpulseSpec, times) -> Waveform:
 # Filtering
 # ---------------------------------------------------------------------------
 
-def _next_pow2(n: int) -> int:
-    return 1 << max(0, n - 1).bit_length()
-
-
 def _interp_response(resp: TwoPortResponse, bins: np.ndarray) -> np.ndarray:
     f = resp.frequencies()
     v = resp.values
@@ -371,23 +364,18 @@ def _overlap_add_circular(read, n: int, hf: np.ndarray):
 
 def _filtered(read, n: int, rate: float, resp: TwoPortResponse):
     """(start, samples) pieces of the n > 0 samples that read(i0, i1)
-    returns, filtered as `apply_response` describes: one piece of the whole
-    record, or the overlap-add pieces past _MAX_SINGLE_FFT samples, whose
-    loop holds the taps' spectrum but not `resp`, its bins or the taps."""
-    L = min(DEFAULT_IR_LENGTH, _next_pow2(n))
-    if n <= L:
+    returns, filtered as `apply_response` describes: one piece of a short
+    record, or the overlap-add pieces of a longer one, whose loop holds the
+    taps' spectrum but not `resp`, its bins or the taps."""
+    if n <= DEFAULT_IR_LENGTH:
         # Short record: multiply on its own bin grid, no intermediate FIR.
         bins = np.arange(n // 2 + 1) * (rate / n)
         yield 0, np.fft.irfft(np.fft.rfft(read(0, n)) * _interp_response(resp, bins), n)
         return
 
-    h = np.fft.irfft(_interp_response(resp, np.arange(L // 2 + 1) * (rate / L)), L)
+    L = DEFAULT_IR_LENGTH
+    hf = np.fft.rfft(np.fft.irfft(_interp_response(resp, np.arange(L // 2 + 1) * (rate / L)), L), 2 * L)
     del resp
-    if n <= _MAX_SINGLE_FFT:
-        yield 0, np.fft.irfft(np.fft.rfft(read(0, n)) * np.fft.rfft(h, n), n)
-        return
-    hf = np.fft.rfft(h, 2 * L)
-    del h
     yield from _overlap_add_circular(read, n, hf)
 
 
@@ -398,9 +386,9 @@ def apply_response(w: Waveform, resp: TwoPortResponse) -> Waveform:
     interpolated onto the transform bins.  A record of up to
     DEFAULT_IR_LENGTH samples is filtered on its own bin grid; a longer one
     with the response sampled as a DEFAULT_IR_LENGTH-tap impulse response,
-    in one FFT up to _MAX_SINGLE_FFT samples and past that by overlap-add
-    segments of that length, which agree with the one FFT to rounding.  The
-    response group delay appears as a (circular) shift of pulse content.
+    by overlap-add segments of that length, which agree with one FFT of the
+    whole record to rounding.  The response group delay appears as a
+    (circular) shift of pulse content.
     """
     _check_coverage(resp, w.sample_rate)
     x = w.samples
@@ -410,17 +398,20 @@ def apply_response(w: Waveform, resp: TwoPortResponse) -> Waveform:
                     _gather(x.size, _filtered(_slicer(x), x.size, w.sample_rate, resp)))
 
 
-def _philox(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+def _noise_rng(rms: float, seed: int) -> np.random.Generator | None:
+    """The counter-based (Philox) stream of `seed`, or None at rms 0;
+    ValueError unless rms is finite and >= 0, written so that NaN fails."""
+    if not 0 <= rms < math.inf:
+        raise ValueError("rms must be finite and >= 0")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed)))) if rms else None
 
 
 def add_noise(w: Waveform, rms: float, seed: int) -> Waveform:
     """Add white Gaussian noise from a counter-based (Philox) stream."""
-    if rms < 0:
-        raise ValueError("rms must be >= 0")
-    if rms == 0:
+    rng = _noise_rng(rms, seed)
+    if rng is None:
         return Waveform(w.sample_rate, w.t0, w.samples)
-    return Waveform(w.sample_rate, w.t0, w.samples + _philox(seed).standard_normal(len(w)) * rms)
+    return Waveform(w.sample_rate, w.t0, w.samples + rng.standard_normal(len(w)) * rms)
 
 
 # ---------------------------------------------------------------------------

@@ -121,12 +121,11 @@ def test_waveform_command(tmp_path):
 
 
 @pytest.mark.parametrize("filtered", [True, False], ids=["overlap-add", "unfiltered"])
-def test_streamed_waveform_files_equal_the_library_record(tmp_path, monkeypatch, capsys, filtered):
+def test_streamed_waveform_files_equal_the_library_record(tmp_path, capsys, filtered):
     # 304,000 samples, not a multiple of the 2**17-sample segment, take the
     # overlap-add path, or unfiltered come in three segments: the command
     # writes its pieces into waveform.bin and reads the file back for the
     # CSV and the rms
-    monkeypatch.setattr(waveform, "_MAX_SINGLE_FFT", 1 << 17)
     raw = copy.deepcopy(GOLDEN_CONFIG)
     raw["waveform"].update(duration=7.6e-6, noise_rms=1e-4, filtered=filtered)
     raw["output_dir"] = str(tmp_path / "cli")
@@ -154,13 +153,11 @@ def test_streamed_waveform_files_equal_the_library_record(tmp_path, monkeypatch,
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the filter overflows
-@pytest.mark.parametrize("duration, max_single_fft", [
-    (2e-7, waveform._MAX_SINGLE_FFT),  # one piece
-    (7.6e-6, 1 << 17),                 # overlap-add pieces
+@pytest.mark.parametrize("duration", [
+    2e-7,    # one piece
+    7.6e-6,  # overlap-add pieces
 ], ids=["short", "overlap-add"])
-def test_non_finite_record_exits_3_and_leaves_no_file(tmp_path, monkeypatch, capsys, duration,
-                                                      max_single_fft):
-    monkeypatch.setattr(waveform, "_MAX_SINGLE_FFT", max_single_fft)
+def test_non_finite_record_exits_3_and_leaves_no_file(tmp_path, capsys, duration):
     raw = copy.deepcopy(GOLDEN_CONFIG)
     raw["waveform"].update(duration=duration, impulse_peak=1e308)
     path = tmp_path / "config.json"

@@ -114,15 +114,16 @@ def test_sweep_exits_0_on_every_seed(tmp_path):
     assert min(p_a) < 0
 
 
-# Long waveform records, recorded like GOLDEN: 2e5 samples take the FIR
-# single-FFT path (2**17 < n <= 2**22), 4.24e6 samples the overlap-add path,
-# which synthesizes the record, impulses and noise one segment at a time.
+# Long waveform records, recorded like GOLDEN (numpy's AVX-512 loops): every
+# record past 2**17 samples takes the overlap-add path, which synthesizes the
+# record, impulses and noise one segment at a time; 2e5 samples are two
+# segments, the second one short, and 4.24e6 samples are 33.
 LONG_RECORDS = {
-    "fir single FFT": ({"duration": 5e-6}, ["csv", "json"], {
+    "overlap-add 2 segments": ({"duration": 5e-6}, ["csv", "json"], {
         "waveform.bin":
-            "06455117634616597c87e998d76ac55a4d60d8a44a61474a7e58a6ff23afc0a0",
+            "57c2c8beaafd10b082504d0a51b29f96eaa8b1ca8823aa29519da1f3716dd8ae",
         "waveform.csv":
-            "7472983906f8f237a07df5ecb38b60fbcb2de113c9a76c49c487ef0615ac3446",
+            "e1652d422a28f81e518d6ac0907943e2d2b8986d8fedfb955afd803b35ab89f3",
     }),
     "overlap-add": ({"duration": 1.06e-4}, ["json"], {
         "waveform.bin":

@@ -127,11 +127,13 @@ def test_a_read_of_a_non_finite_value_raises(tmp_path, content, read):
     (b"", waveform.read_waveform_binary, "waveform"),
     (b"\0\0\0", waveform.read_waveform_binary, "waveform"),
     (struct.pack("<ddQ", 4e10, 0.0, 2) + struct.pack("<d", 0.0), waveform.read_waveform_binary, "waveform"),
+    (struct.pack("<ddQ", 4e10, 0.0, 1 << 61), waveform.read_waveform_binary, "waveform"),
     (b"", acquisition.read_timestamps_binary, "timestamp"),
     (b"\0\0\0", acquisition.read_timestamps_binary, "timestamp"),
     (struct.pack("<Qq", 2, 0) + b"\0\0\0", acquisition.read_timestamps_binary, "timestamp"),
-], ids=["waveform empty", "waveform short header", "waveform short body",
-        "timestamps empty", "timestamps short header", "timestamps short body"])
+    (struct.pack("<Q", 1 << 61), acquisition.read_timestamps_binary, "timestamp"),
+], ids=["waveform empty", "waveform short header", "waveform short body", "waveform count 2**61",
+        "timestamps empty", "timestamps short header", "timestamps short body", "timestamps count 2**61"])
 def test_a_read_of_a_truncated_binary_file_raises(tmp_path, content, read, what):
     path = tmp_path / "file"
     path.write_bytes(content)

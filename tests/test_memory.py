@@ -210,16 +210,20 @@ def _process_peak_kb(*args) -> int:
 
 
 def test_waveform_process_peak_stays_under_half_a_record(tmp_path):
-    # tracemalloc does not see pocketfft's or the allocator's memory
-    raw = copy.deepcopy(CONFIG)
-    raw["waveform"]["duration"] = 2e-4  # 8e6 samples
-    raw.update(emit=["json"], output_dir=str(tmp_path / "out"))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
-    peak = _process_peak_kb("-m", "unicsim", "waveform", "-c", str(path))
+    # tracemalloc does not see pocketfft's or the allocator's memory; the
+    # bound is half the 8e6-sample record at every length, as no filtered
+    # record is held whole
     imports = _process_peak_kb("-c", "import unicsim.cli")
     record_kb = 8 * 8_000_000 / 1024
-    assert peak - imports < record_kb / 2
+    for n in (8_000_000, 1 << 20, (1 << 22) - 64):
+        raw = copy.deepcopy(CONFIG)
+        raw["waveform"]["duration"] = n / raw["waveform"]["sample_rate"]
+        raw.update(emit=["json"], output_dir=str(tmp_path / str(n)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        peak = _process_peak_kb("-m", "unicsim", "waveform", "-c", str(path))
+        assert peak - imports < record_kb / 2, n
+        assert (tmp_path / str(n) / "waveform.bin").stat().st_size == 24 + 8 * n
 
 
 def test_simulate_process_peak_stays_within_one_block(tmp_path):

@@ -263,15 +263,17 @@ def test_apply_response_parseval_long_record(saw, design):
     assert measured == pytest.approx(expected, rel=1e-9)
 
 
-def test_overlap_add_equals_single_block(saw, design, monkeypatch):
-    n = 1 << 18
-    rng = np.random.default_rng(7)
-    w = Waveform(RATE, 0.0, rng.normal(0.0, 1e-3, n))
+@pytest.mark.parametrize("n", [(1 << 17) + 1, 1 << 18, 3 * (1 << 17) - 1],
+                         ids=["one-sample last segment", "2 segments", "3 segments"])
+def test_overlap_add_equals_whole_record_fft(n, saw, design):
+    # the oracle: one FFT of the whole record, with the 2**17-tap impulse
+    # response that _filtered samples from the chain response
+    w = Waveform(RATE, 0.0, np.random.default_rng(7).normal(0.0, 1e-3, n))
     resp = chain_response(design, saw, record_bin_grid(RATE, 1 << 17), stages=2)
-    single = apply_response(w, resp)
-    monkeypatch.setattr(waveform, "_MAX_SINGLE_FFT", 1 << 17)
-    segmented = apply_response(w, resp)
-    assert rel_rms(segmented.samples, single.samples) < 1e-9
+    L = waveform.DEFAULT_IR_LENGTH
+    h = np.fft.irfft(waveform._interp_response(resp, np.arange(L // 2 + 1) * (RATE / L)), L)
+    want = np.fft.irfft(np.fft.rfft(w.samples) * np.fft.rfft(h, n), n)
+    assert rel_rms(apply_response(w, resp).samples, want) < 1e-9
 
 
 def test_apply_response_grid_coverage_error(saw, design):
@@ -314,6 +316,16 @@ def test_add_noise_negative_rms_rejected():
     w = Waveform(RATE, 0.0, np.zeros(16))
     with pytest.raises(ValueError):
         add_noise(w, -1.0, seed=0)
+
+
+@pytest.mark.parametrize("rms", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("make", [
+    lambda rms: add_noise(Waveform(RATE, 0.0, np.zeros(16)), rms, seed=0),
+    lambda rms: synth_record(GateWaveSpec(F_G, 0.42), 1e-8, RATE, noise_rms=rms),
+], ids=["add_noise", "synth_record"])
+def test_noise_rms_must_be_finite_and_non_negative(make, rms):
+    with pytest.raises(ValueError, match="rms must be finite and >= 0"):
+        make(rms)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +394,12 @@ def test_noise_by_segment_equals_one_normal_call(monkeypatch):
     assert add_noise(w, 1e-3, 9).samples.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("n, max_single_fft", [
-    (1 << 16, waveform._MAX_SINGLE_FFT),   # short record: its own bin grid
-    (200_001, waveform._MAX_SINGLE_FFT),   # one FFT with the sampled impulse response
-    (300_001, 1 << 17),                    # overlap-add segments of 2**17 samples
-], ids=["short", "single FFT", "overlap-add"])
-def test_synth_record_equals_the_four_whole_record_calls(n, max_single_fft, saw, design, monkeypatch):
-    monkeypatch.setattr(waveform, "_MAX_SINGLE_FFT", max_single_fft)
+@pytest.mark.parametrize("n", [
+    1 << 16,  # short record: its own bin grid
+    200_001,  # overlap-add segments of 2**17 samples, the last one short
+    300_001,
+], ids=["short", "overlap-add 2 segments", "overlap-add"])
+def test_synth_record_equals_the_four_whole_record_calls(n, saw, design):
     spec = GATE_SPECS[2]
     resp = chain_response(design, saw, record_bin_grid(RATE, 1 << 17))
     times = np.random.default_rng(5).uniform(0.0, n / RATE, 200)
