@@ -177,6 +177,14 @@ def read_exact(fh, size: int, what: str) -> bytes:
     return data
 
 
+def read_values(fh, n: int, what: str) -> bytes:
+    """The n 8-byte values that fill the rest of the binary file `fh`, as
+    `read_exact` reads them; ValueError if bytes follow them."""
+    if os.fstat(fh.fileno()).st_size - fh.tell() > 8 * n:
+        raise ValueError(f"trailing bytes in {what} file")
+    return read_exact(fh, 8 * n, what)
+
+
 def write_json(path, obj) -> None:
     with output(path) as fh:
         json.dump(obj, fh, indent=2)

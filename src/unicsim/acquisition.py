@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._io import output, read_csv, read_exact, read_json, write_csv, write_json
+from ._io import output, read_csv, read_exact, read_json, read_values, write_csv, write_json
 from ._schema import Positive, check_fields
 from .apd import _distinct
 from .config import AcquisitionConfig, DiscriminatorSpec, TdcSpec
@@ -304,7 +304,7 @@ def _timestamps_writer(path):
 def read_timestamps_binary(path) -> np.ndarray:
     with open(path, "rb") as fh:
         (n,) = struct.unpack("<Q", read_exact(fh, 8, "timestamp"))
-        ps = np.frombuffer(read_exact(fh, 8 * n, "timestamp"), dtype="<i8")
+        ps = np.frombuffer(read_values(fh, n, "timestamp"), dtype="<i8")
     return ps.astype(np.float64) * 1e-12
 
 

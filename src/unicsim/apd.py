@@ -4,18 +4,19 @@ Each gate can host at most one avalanche, with cause precedence
 photon > dark > afterpulse.  Every avalanche fills a Poisson number of
 carrier traps that release with an exponential time constant; a carrier
 released inside a later gate window triggers an afterpulse with a fixed
-probability.  The trap clock is anchored at gate window starts so the
-simulation matches the closed-form first-generation oracle
-`expected_afterpulses` exactly.
+probability.  Only the triggering traps are drawn: a Poisson(n) trap count
+thinned with probability p is a Poisson(n*p) count.  The trap clock is
+anchored at gate window starts so the simulation matches the closed-form
+first-generation oracle `expected_afterpulses` exactly.
 
-Gates are processed in fixed-size blocks, each drawing from its own
-counter-based (Philox) random streams keyed by (seed, block, purpose), so a
-run is bit-reproducible and the primary photon/dark draws are unaffected by
-trap settings.  Each key is numpy's SeedSequence spawn key of (block,
-purpose), derived for a batch of blocks at once.  The photon lane draws one
-uniform per illuminated gate; the dark lane draws only the dark hits, as
-geometric gaps between them, so its cost scales with the number of dark
-events rather than with the gates.  `simulate_blocks` yields the events of
+Gates are processed in fixed-size blocks.  Each purpose (lane) has one
+counter-based Philox key, derived from the seed by numpy's SeedSequence,
+and block b of a lane draws from its own counter range (0, b, 0, 0) under
+that key (Salmon et al., SC'11).  So a run is bit-reproducible, and the
+primary photon/dark draws are unaffected by trap settings.  The photon lane
+draws one uniform per illuminated gate; the dark lane draws only the dark
+hits, as geometric gaps between them, so its cost scales with the number of
+dark events rather than with the gates.  `simulate_blocks` yields the events of
 each block as it is drawn; `simulate` joins them.
 """
 
@@ -57,7 +58,7 @@ KIND_NAMES = ("photon", "dark", "afterpulse")
 _CHUNK = 1 << 20
 _DRAW = 1 << 16  # variates drawn at once; a Philox stream gives the same values in any slicing
 _KIND_BITS = 2  # low bits of the sort key that hold the event kind
-_LANE_PHOTON, _LANE_DARK, _LANE_TRAP, _LANE_TRIGGER, _LANE_CHARGE, _LANE_JITTER = range(6)
+_LANE_PHOTON, _LANE_DARK, _LANE_TRAP, _LANE_CHARGE, _LANE_JITTER = range(5)
 
 
 def pulse_ratio(det: DetectorConfig, src: SourceConfig) -> int:
@@ -113,97 +114,38 @@ class ClickProbabilities:
     p_non_illuminated: float
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), ported so that a
-# run derives every (block, lane) key from its seed's pool by array
-# arithmetic, instead of building one SeedSequence per key.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_KEY_BATCH = 256  # blocks whose keys are derived together
 _N_LANES = _LANE_JITTER + 1
 _PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list[int]:
-    """The running hash constant of n + 1 successive `_hashmix` calls."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-def _hashmix(value, h0, h1):
-    """numpy's `hashmix` of a call that finds the hash constant at h0 and
-    advances it to h1; on Python ints, or elementwise on uint32 arrays."""
-    value = (value ^ h0) * h1 & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _block_keys(seed: int):
-    """Function from an array of block indices (each < 2**32) to their
-    (blocks, lanes, 2) uint64 Philox keys.  Each key equals numpy's
-    SeedSequence(entropy=seed, spawn_key=(block, lane)).generate_state(2, np.uint64).
-
-    The entropy is the seed's uint32 words (zero-padded to the pool size),
-    then the block word, then the lane word.  The pool after the seed words
-    is numpy's own, SeedSequence(seed).pool; the block and lane words are
-    mixed into it for every (block, lane) at once.
-    """
-    pool = np.random.SeedSequence(seed).pool[:, None]
-    # mixing the seed words (at least the pool size) advanced the hash constant once per slot per word
-    n_seed_calls = _POOL_SIZE * max(_POOL_SIZE, -(-int(seed).bit_length() // 32))
-    h = _hash_constants(_INIT_A, _MULT_A, n_seed_calls + 2 * _POOL_SIZE)
-    h = np.array(h[n_seed_calls:], dtype=np.uint32)[:, None]  # 4 calls for the block word, 4 for the lane
-    lane_words = _hashmix(np.arange(_N_LANES, dtype=np.uint32), h[4:8], h[5:9])  # (pool, lane)
-    g = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint32)[:, None, None]
-
-    def keys(blocks: np.ndarray) -> np.ndarray:
-        mixed = _mix(pool, _hashmix(blocks.astype(np.uint32), h[0:4], h[1:5]))  # (pool, block)
-        mixed = _mix(mixed[:, :, None], lane_words[:, None, :])  # (pool, block, lane)
-        state = _hashmix(mixed, g[:-1], g[1:]).astype(np.uint64)  # words 0-3 of generate_state
-        return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
-
-    return keys
-
-
-def _philox_at(gen: np.random.Generator, key: np.ndarray) -> np.random.Generator:
-    """`gen` reset to the state of a new Generator(Philox) with this key:
-    counter 0, an empty buffer and no cached uint32."""
-    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _PHILOX_ZEROS, "key": key},
+def _philox_at(gen: np.random.Generator, key: np.ndarray, block: int) -> np.random.Generator:
+    """`gen` reset to the start of `block`'s counter range under `key`: the
+    state of a new Generator(Philox(key=key, counter=(0, block, 0, 0))),
+    with an empty buffer and no cached uint32."""
+    counter = np.array([0, block, 0, 0], dtype=np.uint64)
+    gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
                                "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen
 
 
 def _spawn_candidates(sources: np.ndarray, det: DetectorConfig, n_gates: int,
-                      rng_trap: np.random.Generator, rng_trig: np.random.Generator) -> np.ndarray:
+                      rng_trap: np.random.Generator) -> np.ndarray:
     """Afterpulse target gates triggered by traps from the given avalanches.
 
-    The trap counts and trigger draws are made a slice of sources at a time,
-    keeping only the triggered traps.  The trap lane draws every count before
-    the first release offset, so the offsets follow, a slice at a time."""
-    origin, triggered = [], []
+    A Poisson(n) trap count whose traps each trigger with probability p is a
+    Poisson(n*p) count of triggered traps, so only those are drawn: first a
+    count per avalanche, a slice of sources at a time, then one release
+    offset per triggered trap."""
+    mean = det.traps_per_avalanche * det.p_trigger
+    origin = []
     for i in range(0, sources.size, _DRAW):
-        counts = rng_trap.poisson(det.traps_per_avalanche, min(_DRAW, sources.size - i))
-        hit = rng_trig.random(int(counts.sum())) < det.p_trigger
-        origin.append(np.repeat(sources[i:i + _DRAW], counts)[hit])
-        triggered.append(hit)
-    triggered = np.concatenate(triggered)
-    total = triggered.size
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.concatenate([rng_trap.exponential(det.detrap_tau, min(_DRAW, total - i))[triggered[i:i + _DRAW]]
-                              for i in range(0, total, _DRAW)])
+        chunk = sources[i:i + _DRAW]
+        origin.append(np.repeat(chunk, rng_trap.poisson(mean, chunk.size)))
     origin = np.concatenate(origin)
+    release = rng_trap.exponential(det.detrap_tau, origin.size)
     period = 1.0 / det.f_g
     half_w = 0.5 * det.gate_width
-    release = (origin * period - half_w) + offsets  # anchored at the window start
+    release += origin * period - half_w  # anchored at the window start
     target = np.rint(release * det.f_g).astype(np.int64)
     in_window = np.abs(release - target * period) <= half_w
     return target[in_window & (target > origin) & (target < n_gates)]
@@ -275,17 +217,17 @@ def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: 
 
     pending = np.empty(0, dtype=np.int64)  # afterpulse targets beyond the current block
     occupied = np.zeros(min(n_gates, _CHUNK), dtype=bool)  # a block's gates that fired; cleared after it
-    block_keys = _block_keys(seed)
+    lane_keys = np.random.SeedSequence(seed).generate_state(2 * _N_LANES, np.uint64).reshape(_N_LANES, 2)
     gens = [np.random.Generator(np.random.Philox(0)) for _ in range(_N_LANES)]  # reset per block
 
-    def block(lane_keys: np.ndarray, g0: int):
+    def block(b: int, g0: int):
         # a function, so that this block's temporaries are freed before the next
         # is drawn; each is also freed once used, so that a dense block holds
         # little more than its four event arrays
         nonlocal pending
 
         def rng(lane: int) -> np.random.Generator:
-            return _philox_at(gens[lane], lane_keys[lane])
+            return _philox_at(gens[lane], lane_keys[lane], b)
 
         g1 = min(g0 + _CHUNK, n_gates)
         m = g1 - g0
@@ -324,7 +266,7 @@ def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: 
         if traps_on and photon_gates.size + dark_gates.size:
             primaries = np.concatenate([photon_gates, dark_gates])
             primaries.sort()
-            cand = _spawn_candidates(primaries, det, n_gates, rng(_LANE_TRAP), rng(_LANE_TRIGGER))
+            cand = _spawn_candidates(primaries, det, n_gates, rng(_LANE_TRAP))
             del primaries
             if cand.size:
                 pending = np.concatenate([pending, cand[cand >= g1]])
@@ -353,11 +295,8 @@ def simulate_blocks(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: 
         charges = rng(_LANE_CHARGE).lognormal(mu_ln, sigma_ln, gates.size)
         return gates, times, kinds, charges
 
-    starts = range(0, n_gates, _CHUNK)
-    for chunk_idx, g0 in enumerate(starts):
-        if chunk_idx % _KEY_BATCH == 0:
-            batch_keys = block_keys(np.arange(chunk_idx, min(chunk_idx + _KEY_BATCH, len(starts))))
-        yield block(batch_keys[chunk_idx % _KEY_BATCH], g0)
+    for b, g0 in enumerate(range(0, n_gates, _CHUNK)):
+        yield block(b, g0)
 
 
 def simulate(det: DetectorConfig, src: SourceConfig, n_gates: int, seed: int) -> EventStream:

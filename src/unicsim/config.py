@@ -23,8 +23,8 @@ DEFAULT_SAMPLE_RATE = 40e9  # 32 samples per 1.25 GHz gate period
 def _check_n_gates(n_gates: int) -> None:
     if n_gates < 1:
         raise ValueError("n_gates must be >= 1")
-    if n_gates > 1 << 52:  # apd numbers its 2**20-gate blocks with one uint32 word
-        raise ValueError("n_gates must be <= 2**52 (block indices are one uint32 word)")
+    if n_gates > 1 << 52:  # apd's trap release times carry gate indices in float64
+        raise ValueError("n_gates must be <= 2**52 (gate indices must stay exact in float64)")
 
 
 def _check_flux_list(flux_list) -> list:

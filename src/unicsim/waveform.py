@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import csv_rows, output, read_csv, read_exact
+from ._io import csv_rows, output, read_csv, read_exact, read_values
 from ._schema import Finite, NonNegative, Positive, check_fields, check_finite
 from .config import DEFAULT_SAMPLE_RATE
 from .network import TwoPortResponse
@@ -471,5 +471,5 @@ def write_waveform_binary(path, w: Waveform) -> None:
 def read_waveform_binary(path) -> Waveform:
     with open(path, "rb") as fh:
         rate, t0, n = _BIN_HEADER.unpack(read_exact(fh, _BIN_HEADER.size, "waveform"))
-        data = np.frombuffer(read_exact(fh, 8 * n, "waveform"), dtype="<f8")
+        data = np.frombuffer(read_values(fh, n, "waveform"), dtype="<f8")
     return Waveform(rate, t0, data.copy())

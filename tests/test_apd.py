@@ -15,7 +15,6 @@ from unicsim import (
 from unicsim import apd, presets
 from unicsim.apd import (
     _CHUNK,
-    _KEY_BATCH,
     KIND_AFTERPULSE,
     KIND_DARK,
     KIND_PHOTON,
@@ -133,14 +132,18 @@ def test_simulate_illuminated_click_fraction():
 
 
 def test_simulate_afterpulses_match_oracle_within_3_sigma():
-    # dark-driven gates give >= 1e6 avalanches quickly; the rate is kept low
-    # so gate-collision suppression stays far below the statistical bound
+    # dark-driven gates give about 1e6 avalanches quickly; the rate is kept
+    # low so that gate collisions (a dark count, or a second afterpulse of the
+    # same avalanche, on a target gate) cost only about 0.5% of the afterpulses
     det = DetectorConfig(eta_gate=0.0, dark_per_gate=0.002, jitter_sigma=0.0, **TRAP_DET)
     src = SourceConfig(mode="cw_carved", laser_rate=1.25e9, mu=0.0)
-    s = simulate(det, src, 500_000_000, seed=99)
+    n_gates = 500_000_000
+    s = simulate(det, src, n_gates, seed=99)
     c = s.counts()
+    # no photons, so the dark count is Binomial(n_gates, dark_per_gate)
+    expected = n_gates * det.dark_per_gate
+    assert c["dark"] == pytest.approx(expected, abs=5 * math.sqrt(expected * (1 - det.dark_per_gate)))
     n_primary = c["photon"] + c["dark"]
-    assert n_primary >= 1_000_000
     a_mc = c["afterpulse"] / n_primary
     a = expected_afterpulses(det)
     assert a <= 0.1
@@ -202,6 +205,23 @@ def test_simulate_trap_toggle_preserves_primaries():
     assert np.array_equal(primaries_on, s_off.gate_index)
 
 
+def test_traps_are_thinned_to_their_triggered_mean():
+    # a Poisson(n) count of traps, each triggering with probability p, is
+    # drawn as Poisson(n*p) triggered traps: only the product matters
+    base = dict(eta_gate=0.3, dark_per_gate=1e-4, detrap_tau=2e-9)
+    src = SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.5, illuminated_gate_phase=0)
+    assert 2.0 * 0.1 == 4.0 * 0.05
+    runs = [simulate(DetectorConfig(traps_per_avalanche=n, p_trigger=p, **base), src, 2 * _CHUNK + 9, seed=78)
+            for n, p in [(2.0, 0.1), (4.0, 0.05), (10.0, 0.5)]]
+    assert runs[0].counts()["afterpulse"] > 0
+    for name in ("gate_index", "time", "kind", "charge"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+    # more triggered traps: more afterpulses, and the photon and dark gates stay where they were
+    assert runs[2].counts()["afterpulse"] > runs[0].counts()["afterpulse"]
+    for kind in (KIND_PHOTON, KIND_DARK):
+        assert np.array_equal(runs[2].gate_index[runs[2].kind == kind], runs[0].gate_index[runs[0].kind == kind])
+
+
 # Pulsed, mu = 0.5: photons occupy about 12% of the illuminated gates, so the
 # dark lane has to step around them.  Three blocks, the last one partial.
 DARK_SRC = SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.5, illuminated_gate_phase=2)
@@ -255,55 +275,50 @@ def test_simulate_certain_dark_fills_every_free_gate():
 # Random streams
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 3])
-def test_block_keys_are_numpy_spawn_keys(seed):
-    blocks = np.array([0, 1, _KEY_BATCH - 1, _KEY_BATCH, _KEY_BATCH + 1, 1192])
-    keys = apd._block_keys(seed)(blocks)
-    assert keys.shape == (blocks.size, 6, 2) and keys.dtype == np.uint64
+@pytest.mark.parametrize("seed", [0, 2**64 + 7])
+def test_a_reset_generator_draws_its_blocks_counter_range(seed):
+    lane_keys = np.random.SeedSequence(seed).generate_state(2 * apd._N_LANES, np.uint64).reshape(apd._N_LANES, 2)
     gen = np.random.Generator(np.random.Philox(0))
-    for block, lane_keys in zip(blocks.tolist(), keys):
-        for lane, key in enumerate(lane_keys):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(block, lane))
-            assert key.tolist() == ss.generate_state(2, np.uint64).tolist()
+    for block in (0, 1, 1192):
+        for key in lane_keys:
             # a used generator (buffer part-read, a cached uint32) resets to a new one
             gen.integers(0, 2**32, size=3, dtype=np.uint32)
-            got, want = apd._philox_at(gen, key), np.random.Generator(np.random.Philox(ss))
+            got = apd._philox_at(gen, key, block)
+            want = np.random.Generator(np.random.Philox(key=key, counter=[0, block, 0, 0]))
             for draw in (lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32), lambda g: g.random(5)):
                 assert draw(got).tolist() == draw(want).tolist()
 
 
-def test_keys_reject_a_negative_seed_and_a_block_past_one_word():
+def test_simulate_rejects_a_negative_seed_and_n_gates_past_2_52():
     with pytest.raises(ValueError, match="non-negative"):
-        apd._block_keys(-1)
+        next(apd.simulate_blocks(DetectorConfig(), SourceConfig(), 1, -1))
     with pytest.raises(ValueError, match="2\\*\\*52"):
         next(apd.simulate_blocks(DetectorConfig(), SourceConfig(), (_CHUNK << 32) + 1, 1))
 
 
-# sha256 of simulate's four arrays, recorded when every (block, lane)
-# stream was built from its own numpy SeedSequence.  Both runs span several
-# blocks, so a key batch of 2 crosses batch edges.
+# sha256 of simulate's four arrays, recorded when block b of each lane was
+# that lane's Philox counter range (0, b, 0, 0) under its SeedSequence key,
+# and the traps were thinned.  Both runs span several blocks.
 MULTI_BLOCK_RUNS = {
     "pulsed-traps": (
         "apd1_30C", SourceConfig(mode="pulsed", laser_rate=1e7, mu=2.0, illuminated_gate_phase=5),
         3 * _CHUNK + 17, 11,
-        ("fe09bedd87193ca9275c8740addb339cb1b636599500030758d1462cb7240e8e",
-         "d227ea5c5600c66a6e20a1e63b72d7fb9631c18a82d2ed1f946d549b6c9fb655",
-         "2a0a9ac2d3485bffa481e6364b783dddef2542ec9b439142a873d0ef989b00a0",
-         "f4a06e9c59ce35dd21671ac81ce51f9ad152bbb46935b5d125cc5511b8397299")),
+        ("725d4eae011cdaf720e3488c4b7ad7ac8a139d31ffffaa99a7b0a15d84f30be3",
+         "81b5e3b1d407e08978d48713ffc92b7fcef0560e238253665beef2712f5ea52d",
+         "f6b9b1b91df1097100839c53f46da83bf3b8e539cf0076f1e06a900fef957c24",
+         "4258052f2b61e7066fc5a5880df8578bbd3d1537609f965c2b42858d48f87008")),
     "carved": (
         "apd1_minus30C", SourceConfig(mode="cw_carved", laser_rate=1.25e9, mu=3.0),
         2 * _CHUNK + 5, 2**64 + 7,
-        ("e9a30b0908af0c776cf78ee1ef4d85597dc3690f88d6963ed5e5e2c6f7faaa98",
-         "b4599de64aafbb0f541f5bf3f501466e76c76db598980ee337d387f8248f45a5",
-         "6aeff5e9409336490e7e8236bdf41a75d5d5ef11a7eb88ed4fd22d027c836358",
-         "3fd30f4fd0110a92331f93aa151e7178f5d2402b5f46487d0a517b8262b34c40")),
+        ("7d33f559a76a4ff28f99c2262e7b71a111d5a2fc9bb71bd5d895d72e3098bc25",
+         "10df7bdbf104f98489e8b7851ade86799bdb5e670bf488194c41bd29c029af76",
+         "e9506e65c6d203ee50021cc0a38d29eb23b1536ea265f9f4705f843e486183e7",
+         "17ac00b456302696970b3dbb04531f6f943e48dc57150f44c5bc921c823e636d")),
 }
 
 
-@pytest.mark.parametrize("key_batch", [2, _KEY_BATCH])
 @pytest.mark.parametrize("run", MULTI_BLOCK_RUNS, ids=list(MULTI_BLOCK_RUNS))
-def test_multi_block_streams_are_pinned(run, key_batch, monkeypatch):
-    monkeypatch.setattr(apd, "_KEY_BATCH", key_batch)
+def test_multi_block_streams_are_pinned(run):
     preset, src, n_gates, seed, want = MULTI_BLOCK_RUNS[run]
     s = simulate(presets.get_preset(preset), src, n_gates, seed)
     assert s.counts()["afterpulse"] > 0

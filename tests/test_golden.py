@@ -62,31 +62,31 @@ GOLDEN = {
     },
     "simulate": {
         "events.csv":
-            "08644a10893b81184df899c81bfec1825670bb4a31e92d373ea87e4f002d5a00",
+            "efeae39294cbc061e52e429ba91ca7f373019170a3d1a9acb5b74597dc60b6db",
         "summary.json":
-            "a5b94e5f4376f48e6dd19cd69799faae40a7c66bcface1e7a50bfd4b80a69c13",
+            "8fa11399712e2d9e478453df1b4c653e91deebcc5082fc5e5fb9be3b8e71c39e",
         "timestamps.bin":
-            "f734557a5f0c82a62030ea62c663369d20d480189f758f53a03122c84d248476",
+            "85afd8fd058a5da29e19ea7c97e0fff919529a1f75ad74209e06ed64a343a38b",
     },
     "characterize": {
         "gate_counts.json":
-            "d28f872b55c94167a731125431beb670eae3a14e38de41cd8bfb5f27eb01a140",
+            "9def112712a5db9cfe4a7a589d95bb4a0f97dde3403aa20f08c3fbb0da9f9553",
         "histogram.csv":
-            "803a6cff3a612800f180efd841189b8cf2cb7b466619d154c8d0e4588ef41447",
+            "4da6a4c0bb64ad1beaaa9324dfeee7aa107c783efa2ca9e789a3a6a8d252455f",
         "run_report.json":
-            "7c9cc0fe89252a99725cf42bdaef012c5e707c5272c34dab5439b73fc89a6927",
+            "b2410abd593f6199a7178db01b50f2c72f239873b3f8b27872fa7ceeaa11d32d",
     },
     "sweep": {
         "sweep.csv":
-            "8deaa5bea729f7224ef362f699ba79fd1f97f439b840f0419ef7dc0cc6fba00b",
+            "0fb55185dfbe997942e065ae6d8ccfe620cd67d2e74b5db0ccd62accee696430",
         "sweep.json":
-            "7a5edf733cabde3eef59228af4c586644fe67c51ec5e10c769c40f7fb8182a17",
+            "254796a37f66ecb16987f69c00482cfadd67d39d86b4ef3a4b811c359caba43c",
     },
     "maxrate": {
         "maxrate.csv":
-            "d1d227daa6b29cc88e975f45426ebd85c18da5448ae4122e200ed722b2c1f16f",
+            "b21bb314b863d9e45d6c489193e85a9a412563060a27edd3f854413074504281",
         "maxrate.json":
-            "3166a8493d041a473d71d831f4c0a875dd9916bfba6fd0545322c243532863b3",
+            "6f7cedddca2dcbca52ddf008f25b26faff537efa05137ed5745c7177dac5ff5e",
     },
 }
 
@@ -155,11 +155,11 @@ def test_long_waveform_matches_recorded_sha256(tmp_path, name):
 # carved photon draws and the TDC dead time (2 ns) all run on dense streams.
 CARVED = {
     "events.csv":
-        "41c37d0f56ed2cf25228ba3e8b97107322565b5421b2a777c14a5d20658d7b82",
+        "bd3f17fb647bd59af28f9c1f123557bca3d2a74f802d4cef0f1c057ee704d1cf",
     "summary.json":
-        "165d175440a0df614cac1f181727deccef3ef8c6aedb695ec2c98b80103d39fc",
+        "26e49d26fb92e9941488432b7c7ecee393d12e8e9babd33f78bfc812f0a5f9e9",
     "timestamps.bin":
-        "09bd529af29800e5df447cdd4c89ada3492f5e8e657cf721b547e26feeef5e87",
+        "e73526d759421db23daea116fbabc4e855461e096a3059cedcbe767c1a514dc9",
 }
 
 

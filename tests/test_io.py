@@ -141,6 +141,20 @@ def test_a_read_of_a_truncated_binary_file_raises(tmp_path, content, read, what)
         read(path)
 
 
+@pytest.mark.parametrize("content, read, what", [
+    (struct.pack("<ddQ", 4e10, 0.0, 1) + struct.pack("<2d", 0.0, 1.0), waveform.read_waveform_binary, "waveform"),
+    (struct.pack("<ddQ", 4e10, 0.0, 0) + b"\0", waveform.read_waveform_binary, "waveform"),
+    (struct.pack("<Q2q", 1, 5, 6), acquisition.read_timestamps_binary, "timestamp"),
+    (struct.pack("<Q", 0) + b"\0", acquisition.read_timestamps_binary, "timestamp"),
+], ids=["waveform one sample too many", "waveform one byte after none",
+        "timestamps one stamp too many", "timestamps one byte after none"])
+def test_a_read_of_a_binary_file_with_trailing_bytes_raises(tmp_path, content, read, what):
+    path = tmp_path / "file"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"trailing bytes in {what} file"):
+        read(path)
+
+
 # ---------------------------------------------------------------------------
 # Floats print as repr, integers as %d
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_streamed_simulate_holds_one_block(tmp_path):
     assert peak(8) <= 1.1 * one
 
 
-def test_block_keys_do_not_grow_with_the_run():
+def test_first_block_does_not_grow_with_the_run():
     det = presets.get_preset("apd1_minus30C")
     src = apd.SourceConfig(mode="pulsed", laser_rate=1e7, mu=0.1)
 
