@@ -298,7 +298,8 @@ def test_simulate_rejects_a_negative_seed_and_n_gates_past_2_52():
 
 # sha256 of simulate's four arrays, recorded when block b of each lane was
 # that lane's Philox counter range (0, b, 0, 0) under its SeedSequence key,
-# and the traps were thinned.  Both runs span several blocks.
+# and the traps were thinned.  Both runs span several blocks, and a draw
+# slice of 2 variates crosses many slice edges in each block.
 MULTI_BLOCK_RUNS = {
     "pulsed-traps": (
         "apd1_30C", SourceConfig(mode="pulsed", laser_rate=1e7, mu=2.0, illuminated_gate_phase=5),
@@ -317,8 +318,10 @@ MULTI_BLOCK_RUNS = {
 }
 
 
+@pytest.mark.parametrize("draw", [2, 256])
 @pytest.mark.parametrize("run", MULTI_BLOCK_RUNS, ids=list(MULTI_BLOCK_RUNS))
-def test_multi_block_streams_are_pinned(run):
+def test_multi_block_streams_are_pinned(run, draw, monkeypatch):
+    monkeypatch.setattr(apd, "_DRAW", draw)
     preset, src, n_gates, seed, want = MULTI_BLOCK_RUNS[run]
     s = simulate(presets.get_preset(preset), src, n_gates, seed)
     assert s.counts()["afterpulse"] > 0
