@@ -13,6 +13,7 @@ avalanche impulses pass with little distortion.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -186,7 +187,7 @@ def _saw_values(b: SawBpf, f: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (f * f - b.f_center * b.f_center) / (f * b3)
         x = np.where(f > 0, x, np.inf)
-        mag = 10.0 ** (-b.insertion_loss / 20.0) / np.sqrt(1.0 + x ** 8)
+        mag = 10.0 ** (-b.insertion_loss / 20.0) / np.sqrt(1.0 + np.square(np.square(np.square(x))))
     mag = np.where(np.isfinite(x), mag, 0.0)
     return mag * _phase(f, b.group_delay)
 
@@ -237,17 +238,19 @@ def _block_values(block, f: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown block type {type(block).__name__}")
 
 
-def _blocks(grid: FrequencyGrid):
-    """(slice, frequencies) of each block of _BLOCK grid points, the last one
-    holding what is left.  The frequencies equal grid.frequencies()[slice]:
-    i * step + f_start with the last point set to f_stop, as np.linspace
-    computes them."""
-    for i0 in range(0, grid.n_points, _BLOCK):
-        i1 = min(i0 + _BLOCK, grid.n_points)
-        f = np.arange(i0, i1, dtype=np.float64) * grid.step + grid.f_start
-        if i1 == grid.n_points:
+def _blocks(grid: FrequencyGrid, start: int = 0, stop: int | None = None, stride: int = 1):
+    """(slice, frequencies) of each block of _BLOCK grid points of the indices
+    start, start + stride, .. below stop (default: the whole grid), the last
+    block holding what is left.  The frequencies equal
+    grid.frequencies()[slice]: i * step + f_start with the last point set to
+    f_stop, as np.linspace computes them."""
+    stop = grid.n_points if stop is None else stop
+    for i0 in range(start, stop, _BLOCK * stride):
+        i1 = min(i0 + _BLOCK * stride, stop)
+        f = np.arange(i0, i1, stride, dtype=np.float64) * grid.step + grid.f_start
+        if i1 == grid.n_points and (i1 - 1 - i0) % stride == 0:
             f[-1] = grid.f_stop
-        yield slice(i0, i1), f
+        yield slice(i0, i1, stride), f
 
 
 def _product(factors) -> np.ndarray:
@@ -364,8 +367,8 @@ def cascade(responses: list[TwoPortResponse]) -> TwoPortResponse:
 # ---------------------------------------------------------------------------
 
 _BACKGROUND_BAND = (1e8, 2e9)   # Hz, off-band comparison region
-_BACKGROUND_EXCLUDE = 5e7       # Hz, keep-out around f_g
-_NULL_SEARCH = 5e7              # Hz, search window around f_g
+_BACKGROUND_STRIDE = 1e5        # Hz, spacing of the background points read
+_NULL_SEARCH = 5e7              # Hz, search window around f_g, kept out of the background
 
 
 def _cross(f0, m0, f1, m1, thr):
@@ -394,29 +397,34 @@ def _check_metrics_grid(grid: FrequencyGrid, f_g: float) -> None:
         raise ValueError(f"grid too coarse near f_g: step {grid.step:.6g} Hz exceeds 1 kHz")
 
 
-def _null_metrics(grid: FrequencyGrid, f_g: float, blocks) -> NullMetrics:
-    """`null_metrics` of the |H| that `blocks` yields as (frequencies, |H|)
-    of consecutive grid blocks.  Only the background values and the search
-    window around f_g are kept."""
+def _null_metrics(grid: FrequencyGrid, f_g: float, read) -> NullMetrics:
+    """`null_metrics` of the |H| that read(s, f) returns at the grid indices
+    of the slice s, whose frequencies are f."""
     _check_metrics_grid(grid, f_g)
-    bg_mag = np.empty(grid.n_points)
-    n_bg = 0
-    near_f, near_mag = [], []
-    for f, mag in blocks:
-        off = np.abs(f - f_g)
-        bg = (f >= _BACKGROUND_BAND[0]) & (f <= _BACKGROUND_BAND[1]) & (off > _BACKGROUND_EXCLUDE)
-        k = int(np.count_nonzero(bg))
-        bg_mag[n_bg:n_bg + k] = mag[bg]
-        n_bg += k
-        near = off <= _NULL_SEARCH  # one contiguous run of the grid
-        near_f.append(f[near])
-        near_mag.append(mag[near])
+    # the index runs that the masks of the whole grid would select, by
+    # bisection in the same float arithmetic: f and f - f_g rise with the index
+    step, idx = grid.step, range(grid.n_points)
+
+    def at(i):
+        return grid.f_stop if i == grid.n_points - 1 else i * step + grid.f_start
+
+    near_lo = bisect_left(idx, -_NULL_SEARCH, key=lambda i: at(i) - f_g)
+    near_hi = bisect_right(idx, _NULL_SEARCH, key=lambda i: at(i) - f_g)
+    lo, hi = bisect_left(idx, _BACKGROUND_BAND[0], key=at), bisect_right(idx, _BACKGROUND_BAND[1], key=at)
+    runs = [(lo, min(hi, near_lo)), (max(lo, near_hi), hi)]
+    n_bg = sum(max(b - a, 0) for a, b in runs)
     if n_bg < 100:
         raise ValueError("grid does not cover enough of the 0.1-2 GHz background band")
-    background = _median(bg_mag[:n_bg])
+    # every k-th grid index; each run loses under one point to the stride,
+    # so k <= n_bg / 102 reads at least 100
+    k = max(1, min(round(_BACKGROUND_STRIDE / step), n_bg // 102))
+    background = _median(np.concatenate(
+        [read(s, f) for a, b in runs for s, f in _blocks(grid, -(-a // k) * k, b, k)]))
     background_loss_db = -20.0 * math.log10(max(background, _MAG_FLOOR))
 
-    f, mag = np.concatenate(near_f), np.concatenate(near_mag)
+    near = list(_blocks(grid, near_lo, near_hi))
+    f = np.concatenate([f for _, f in near])
+    mag = np.concatenate([read(s, f) for s, f in near])
     i_min = int(np.argmin(mag))
     m_min = float(mag[i_min])
     depth_db = 20.0 * math.log10(background / max(m_min, background * _MAG_FLOOR))
@@ -448,17 +456,20 @@ def null_metrics(resp: TwoPortResponse, f_g: float) -> NullMetrics:
     """Locate the rejection null near f_g and measure it against the background.
 
     The background is the median |H| over 0.1-2 GHz excluding +/-50 MHz
-    around f_g.  Depth is reported in dB below that background; width_30db
-    is the full width of the contiguous region at least 30 dB below it.
-    The grid must bracket f_g with a step no coarser than 1 kHz.
+    around f_g, at every k-th grid index: k = round(100 kHz / step), or less
+    to read at least 100 points.  Depth is reported in dB below that
+    background; width_30db is the full width of the contiguous region at
+    least 30 dB below it.  The grid must bracket f_g with a step no coarser
+    than 1 kHz.
     """
-    return _null_metrics(resp.grid, f_g, ((f, np.abs(resp.values[s])) for s, f in _blocks(resp.grid)))
+    return _null_metrics(resp.grid, f_g, lambda s, f: np.abs(resp.values[s]))
 
 
 def chain_null_metrics(parts, grid: FrequencyGrid, f_g: float) -> NullMetrics:
-    """`null_metrics` of `chain_response(parts, grid)`, with no complex
-    response held beyond one block of grid points."""
-    return _null_metrics(grid, f_g, ((f, np.abs(_chain_values(parts, f))) for _, f in _blocks(grid)))
+    """`null_metrics` of `chain_response(parts, grid)`, with the chain
+    evaluated only at the grid points that the metrics read, a block of them
+    at a time."""
+    return _null_metrics(grid, f_g, lambda s, f: np.abs(_chain_values(parts, f)))
 
 
 # ---------------------------------------------------------------------------

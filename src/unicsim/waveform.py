@@ -52,6 +52,7 @@ DEFAULT_IR_LENGTH = 1 << 17
 # glibc's 128 KB mmap threshold, so it comes from the heap.
 _BLOCK = 1 << 13
 _SEGMENT = 1 << 17  # samples per read of a synthesized record, and rows per CSV slice
+_ANCHOR = 1 << 13  # gate-tone samples computed from the angle at each multiple of this
 
 
 @dataclass
@@ -185,22 +186,30 @@ def _source(spec: GateWaveSpec, rate: float, n: int, impulse: ImpulseSpec | None
             noise_rms: float = 0.0, seed: int = 0):
     """read(i0, i1): samples i0..i1 of the n-sample record that
     `synth_capacitive`, `add_impulses` and `add_noise` make in turn, computed
-    from global sample indices: the gate response and the noise a block of
-    _BLOCK samples at a time, the impulses once per read.  Reads must go
-    forward, as the noise is drawn in order; a read of up to _SEGMENT
-    samples returns a buffer the next read reuses."""
+    from global sample indices: sample a + r of a gate tone, a a multiple of
+    _ANCHOR, as amp * (sin(t_a) cos(r w) + cos(t_a) sin(r w)), each angle
+    from its turns modulo 1; the noise a block of _BLOCK samples at a time;
+    the impulses once per read.  Reads must go forward, as the noise is
+    drawn in order; a read of up to _SEGMENT samples returns a buffer the
+    next read reuses."""
     buf = np.empty(min(n, _SEGMENT))
+    tones = []  # (turns a sample, amp, phase, cos(r w), sin(r w)) of each tone, 0 <= r < _ANCHOR
+    for order, amp, phase in ((1, spec.fundamental_amp, 0.0),) + spec.harmonics:
+        turns = order * spec.f_g / rate
+        rw = 2.0 * np.pi * (np.arange(_ANCHOR) * turns % 1.0)
+        tones.append((turns, amp, phase, np.cos(rw), np.sin(rw)))
     add = None if impulse is None else _impulse_adder(impulse, rate, 0.0, n, times)
     rng = _noise_rng(noise_rms, seed)
 
     def read(i0: int, i1: int) -> np.ndarray:
         out = buf[:i1 - i0] if i1 - i0 <= buf.size else np.empty(i1 - i0)
-        for j in range(i0, i1, _BLOCK):
-            t = np.arange(j, min(j + _BLOCK, i1), dtype=np.float64) / rate  # global indices, exact as floats
-            y = out[j - i0:j - i0 + t.size]
-            y[:] = np.sin(2.0 * np.pi * spec.f_g * t) * spec.fundamental_amp
-            for order, amp, phase in spec.harmonics:
-                y += np.sin(2.0 * np.pi * order * spec.f_g * t + phase) * amp
+        out[:] = 0.0
+        for a in range(i0 - i0 % _ANCHOR, i1, _ANCHOR):
+            j0, j1 = max(a, i0), min(a + _ANCHOR, i1)
+            for turns, amp, phase, cos_rw, sin_rw in tones:
+                t_a = 2.0 * math.pi * (a * turns % 1.0) + phase
+                out[j0 - i0:j1 - i0] += (cos_rw[j0 - a:j1 - a] * (amp * math.sin(t_a))
+                                         + sin_rw[j0 - a:j1 - a] * (amp * math.cos(t_a)))
         if add is not None:
             add(out, i0)
         if rng is not None:

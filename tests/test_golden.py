@@ -50,15 +50,15 @@ GOLDEN = {
     },
     "spectrum": {
         "null_metrics.json":
-            "73d3ac675ad93b7e64a8a3fca1a3b6f70a002d7161dd00d00e15b38b8be1e33f",
+            "da964cbb47cacc7769d12e3831c00c04cf8d1b1e4913da3ec330f2f2388f747a",
         "spectrum.csv":
-            "0c303ef2137df7335589603d21f6bdabcda34cc6f1fc04e4b3317de9911a3053",
+            "be9ea635db866be9bcb14c261b42b94c5fc89678701b6fa05e10312b38ac8057",
     },
     "waveform": {
         "waveform.bin":
-            "a04cfdda38cf19983fded9bd2b1a628d89e9f8c579b92116cb7a1febed50818d",
+            "4f40af75c67dec8fdfcca5e611ecb7e1d9d3c3cc04d91dd09d6f0a51fbba8b67",
         "waveform.csv":
-            "1fccd20d6417913324c328014448bb300a34be5e43fa08ef02f5352944ef3830",
+            "60c3fb13ffe6d6d5c6cfd3012397f01bda0891f8277a05a48cbce3770ace6192",
     },
     "simulate": {
         "events.csv":
@@ -121,17 +121,17 @@ def test_sweep_exits_0_on_every_seed(tmp_path):
 LONG_RECORDS = {
     "overlap-add 2 segments": ({"duration": 5e-6}, ["csv", "json"], {
         "waveform.bin":
-            "57c2c8beaafd10b082504d0a51b29f96eaa8b1ca8823aa29519da1f3716dd8ae",
+            "4b6d18c39c8785b525cb1f80653c3a220b68c1756673addbf0497943678a2a6c",
         "waveform.csv":
-            "e1652d422a28f81e518d6ac0907943e2d2b8986d8fedfb955afd803b35ab89f3",
+            "63548dda1e05fa9c168db45b6f358d0c224796f6a30a3e03d3d322aa8fd2e6db",
     }),
     "overlap-add": ({"duration": 1.06e-4}, ["json"], {
         "waveform.bin":
-            "509e8dbf9e95144fb21f5f91d79e1f5024ed1aee1a6ac5c2bb91ea71d88fb15d",
+            "b473eb0f231323d871dec6d916297d5bbab672010a05cd6fede8f94689fa1839",
     }),
     "overlap-add with noise": ({"duration": 1.06e-4, "noise_rms": 1e-4}, ["json"], {
         "waveform.bin":
-            "f0df9120aae84f205130d464942751fe419e444694ef16e285c2860885ed1a96",
+            "7b3ec3950d18625d1993fd69cba955e1106c80421c5f2d9d30ee98f50efa0f9d",
     }),
 }
 

@@ -311,6 +311,36 @@ def test_null_metrics_background_relative(saw, design):
     assert m2.background_loss_db == pytest.approx(m1.background_loss_db + 12.041, abs=1e-3)
 
 
+def _full_background(resp, f_g):
+    """(median |H|, count) over every background point of the grid, as a
+    mask of the whole grid selects them."""
+    f = resp.frequencies()
+    bg = (f >= 1e8) & (f <= 2e9) & (np.abs(f - f_g) > 5e7)
+    return float(np.median(np.abs(resp.values[bg]))), int(np.count_nonzero(bg))
+
+
+def test_lattice_background_matches_the_full_grid_median(saw, design):
+    resp = chain_response(design, saw, metrics_grid())  # the README chain
+    full, _ = _full_background(resp, F_G)
+    assert null_metrics(resp, F_G).background_loss_db == pytest.approx(-20.0 * math.log10(full), abs=1e-5)
+
+
+@pytest.mark.parametrize("below, above", [(1000, 1000), (100, 0), (60, 41), (50, 51)])
+def test_narrow_grids_read_at_least_100_background_points(monkeypatch, saw, design, below, above):
+    # 1 kHz steps, `below` and `above` points past the +/-50 MHz keep-out
+    grid = metrics_grid(F_G - 5e7 - below * 1e3, F_G + 5e7 + above * 1e3, 1e3)
+    resp = chain_response(design, saw, grid)
+    full, count = _full_background(resp, F_G)
+    assert count >= 100
+    read = []
+    median = network._median
+    monkeypatch.setattr(network, "_median", lambda a: read.append(a.size) or median(a))
+    m = null_metrics(resp, F_G)
+    assert read[0] >= 100 and (count > 1000 or read[0] == count)
+    assert m.background_loss_db == pytest.approx(-20.0 * math.log10(full), abs=1e-3)
+    assert network.chain_null_metrics([(design, saw), (design, saw), Notch(2.5e9, 10.0, 1e8)], grid, F_G) == m
+
+
 def test_null_metrics_no_dip_error():
     grid = metrics_grid()
     flat = TwoPortResponse(grid, np.full(grid.n_points, 0.1, dtype=complex))
@@ -372,7 +402,9 @@ def _reference_saw(b, f):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (f * f - b.f_center * b.f_center) / (f * b3)
         x = np.where(f > 0, x, np.inf)
-        mag = 10.0 ** (-b.insertion_loss / 20.0) / np.sqrt(1.0 + x ** 8)
+        x2 = x * x
+        x4 = x2 * x2
+        mag = 10.0 ** (-b.insertion_loss / 20.0) / np.sqrt(1.0 + x4 * x4)
     mag = np.where(np.isfinite(x), mag, 0.0)
     return mag * np.exp(-2j * np.pi * f * b.group_delay)
 
@@ -457,6 +489,22 @@ def test_grid_blocks_equal_linspace_slices_on_random_grids(monkeypatch):
         grid = FrequencyGrid(f_start, f_start + rng.uniform(1e-3, 3e9), int(rng.integers(2, 60)))
         want = np.linspace(grid.f_start, grid.f_stop, grid.n_points)
         assert np.concatenate([f for _, f in network._blocks(grid)]).tobytes() == want.tobytes()
+
+
+def test_strided_grid_blocks_equal_linspace_slices(monkeypatch):
+    # the null metrics read every k-th index of a run: the last point is set
+    # to f_stop only when the stride lands on it
+    monkeypatch.setattr(network, "_BLOCK", 7)
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        grid = FrequencyGrid(float(rng.uniform(0.0, 3e9)), 3.1e9 + rng.uniform(0.0, 1e9), int(rng.integers(2, 90)))
+        want = np.linspace(grid.f_start, grid.f_stop, grid.n_points)
+        start, stop = sorted(int(i) for i in rng.integers(0, grid.n_points + 1, 2))
+        stride = int(rng.integers(1, 9))
+        blocks = list(network._blocks(grid, start, stop, stride))
+        got = np.concatenate([f for _, f in blocks] or [np.empty(0)])
+        assert got.tobytes() == want[start:stop:stride].tobytes()
+        assert all(f.tobytes() == want[s].tobytes() for s, f in blocks)
 
 
 def test_chain_equals_the_cascade_of_whole_responses_at_any_block(monkeypatch, design, saw):

@@ -105,11 +105,20 @@ def test_avalanche_unresolvable_pulse():
     (), ((2, 0.084, 0.0),), ((2, 0.084, 0.3), (3, 0.01, -1.0), (5, 2e-3, 2.0))], ids=["none", "one", "three"])
 def test_synth_capacitive_equals_whole_array_reference(harmonics):
     spec = GateWaveSpec(F_G, 0.42, harmonics)
-    t = np.arange(8000) / RATE
-    y = spec.fundamental_amp * np.sin(2.0 * np.pi * spec.f_g * t)
-    for order, amp, phase in harmonics:
-        y += amp * np.sin(2.0 * np.pi * order * spec.f_g * t + phase)
-    assert synth_capacitive(spec, duration=2e-7, rate=RATE).samples.tobytes() == y.tobytes()
+    assert synth_capacitive(spec, duration=2e-7, rate=RATE).samples.tobytes() == _synth_reference(spec, 8000).tobytes()
+
+
+def test_gate_tones_are_no_further_from_the_exact_tones_than_np_sin():
+    # f_g / rate = 1/32, so sample j of a tone of order k is periodic in j:
+    # amp sin(2 pi (k j mod 32) / 32), with no large angle to reduce
+    n = 1 << 20
+    spec = GateWaveSpec(F_G, 0.42, ((2, 0.084, 0.0),))
+    assert F_G / RATE == 1 / 32
+    j, t = np.arange(n), np.arange(n) / RATE
+    exact = 0.42 * np.sin(2.0 * np.pi * (j % 32) / 32) + 0.084 * np.sin(2.0 * np.pi * (2 * j % 32) / 32)
+    direct = 0.42 * np.sin(2.0 * np.pi * F_G * t) + 0.084 * np.sin(2.0 * np.pi * 2 * F_G * t)
+    got = synth_capacitive(spec, n / RATE, RATE).samples
+    assert np.abs(got - exact).max() <= np.abs(direct - exact).max()
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +350,20 @@ SEGMENT_BLOCKS = [(1000, waveform._BLOCK), (waveform._SEGMENT, 1000)]
 
 
 def _synth_reference(spec, n):
-    """The gate response computed on the whole record at once."""
-    t = np.arange(n, dtype=np.float64) / RATE
-    y = spec.fundamental_amp * np.sin(2.0 * np.pi * spec.f_g * t)
-    for order, amp, phase in spec.harmonics:
-        y += amp * np.sin(2.0 * np.pi * order * spec.f_g * t + phase)
+    """The gate response computed on the whole record at once: sample
+    j = a + r, a a multiple of 2**13, of a tone (order, amp, phase) is
+    amp * (sin(t_a) cos(r w) + cos(t_a) sin(r w)), each angle 2 pi times its
+    turns modulo 1, t_a plus the phase."""
+    anchor = 1 << 13
+    a, r = np.divmod(np.arange(n), anchor)
+    y = np.zeros(n)
+    for order, amp, phase in ((1, spec.fundamental_amp, 0.0),) + spec.harmonics:
+        turns = order * spec.f_g / RATE
+        rw = 2.0 * np.pi * (np.arange(anchor) * turns % 1.0)
+        t_a = 2.0 * np.pi * (np.arange(a[-1] + 1) * anchor * turns % 1.0) + phase
+        sin_a = np.array([math.sin(t) for t in t_a])
+        cos_a = np.array([math.cos(t) for t in t_a])
+        y += np.cos(rw)[r] * (amp * sin_a)[a] + np.sin(rw)[r] * (amp * cos_a)[a]
     return y
 
 
