@@ -2,10 +2,10 @@
 
 Records are uniformly sampled voltage traces.  Filtering through a network
 response is circular FFT convolution with a sampled impulse response: long
-records are processed by overlap-add segments whose wrapped tail makes the
-segmented result equal one FFT of the whole record, to rounding.  Circular semantics mean
-an exactly record-periodic gate waveform is suppressed at the steady-state
-null depth with no turn-on transient.
+records by overlap-add, two segments per in-place complex transform, with
+the tail wrapped so that the result equals one FFT of the whole record to
+rounding.  Circular semantics mean an exactly record-periodic gate waveform
+is suppressed at the steady-state null depth with no turn-on transient.
 
 A record is made as a stream of (start, samples) pieces (`_record`), each
 yielded once final.  The library gathers them into one array; the
@@ -233,8 +233,8 @@ def synth_record(spec: GateWaveSpec, duration: float, rate: float = DEFAULT_SAMP
     """`synth_capacitive`, then `add_impulses` of `impulse` at `times` if
     given, then `add_noise`, then `apply_response` of `response` if given,
     with the same samples.  A filtered record past DEFAULT_IR_LENGTH
-    samples is synthesized one 2**17-sample overlap-add segment at a time,
-    so only the output record is held whole."""
+    samples is synthesized and filtered two 2**17-sample overlap-add
+    segments at a time, so only the output record is held whole."""
     n, pieces = _record(spec, duration, rate, impulse, times, noise_rms, seed, response)
     return Waveform(rate, 0.0, _gather(n, pieces))
 
@@ -341,34 +341,66 @@ def _check_coverage(resp: TwoPortResponse, rate: float) -> None:
         )
 
 
-def _overlap_add_circular(read, n: int, hf: np.ndarray):
+def _twiddles(shape: tuple[int, int]) -> list[np.ndarray]:
+    """exp(-2 pi i k1 n2 / N) at [k1, n2] of a rows x cols = N transform, as
+    two small tables over [k1, p, r], n2 = p q + r, whose product it is."""
+    rows, cols = shape
+    n, q = rows * cols, 1 << (cols.bit_length() // 2)
+    k1 = np.arange(rows)[:, None, None]
+    return [np.exp(-2j * np.pi * (k1 * n2 % n) / n) for n2 in (np.arange(0, cols, q)[:, None], np.arange(q))]
+
+
+def _fft_in_place(z: np.ndarray, tw: list[np.ndarray], axis: int = 0) -> None:
+    """z (rows x cols) := its rows * cols point DFT, four-step (Bailey 1990):
+    FFT along `axis`, twiddles `tw`, FFT along the other axis.  Along axis 0
+    it takes row-major order to bin k1 + rows k2 at [k1, k2], along axis 1
+    that order to row-major.  No FFT buffers more than a row or column."""
+    np.fft.fft(z, axis=axis, out=z)
+    z3 = z.reshape(*tw[0].shape[:2], -1)
+    for t in tw:
+        z3 *= t
+    np.fft.fft(z, axis=1 - axis, out=z)
+
+
+def _overlap_add_circular(read, n: int, hf: np.ndarray, tw: list[np.ndarray]):
     """Circular convolution, by overlap-add and tail wrap, with the L taps
-    whose 2 L-point rfft is `hf`, of the n samples read(i0, i1) returns an L
-    segment at a time, as (start, samples) pieces once final: in order from
-    sample L - 1 on, then the head 0..L - 1 with the linear-convolution tail
-    added to it.  A piece is valid until the next is asked for."""
-    L = hf.size - 1
-    nfft = 2 * L
-    acc = np.zeros(2 * L - 1)  # samples start .. start + 2 L - 1
-    head = np.empty(min(L - 1, n))
-    # x and yk live until rebound: freeing them at once saves 2 MB of peak RSS but doubles the page faults
-    for start in range(0, n, L):
-        if start:
-            acc[:L - 1] = acc[L:]  # the overlap moves to the front
-            acc[L - 1:] = 0.0
-        seg = read(start, min(start + L, n))
-        x = np.fft.rfft(seg, nfft)
-        x *= hf
-        yk = np.fft.irfft(x, nfft)[: seg.size + L - 1]
-        acc[:yk.size] += yk
-        # samples start .. start + seg.size take no later segment
-        k = min(max(head.size - start, 0), seg.size)
-        head[start:start + k] = acc[:k]
-        if k < seg.size:
-            yield start + k, acc[k:seg.size]
-    head += acc[seg.size:seg.size + head.size]  # wrap the tail: circular semantics
-    if head.size:
-        yield 0, head
+    whose 2 L-point DFT / 2 L is `hf` (in `_fft_in_place` order), of the n > L
+    samples read(i0, i1) returns, as (start, samples) pieces once final: in
+    order from sample L - 1 on, then the head 0..L - 1 with the tail added.
+    Segments a, b share a transform as a + i b, whose real part (the taps are
+    real) convolves a and imaginary part b.  A piece lasts until the next."""
+    L = hf.size // 2
+    z = np.empty_like(hf)
+    x = z.reshape(-1)
+    piece = np.zeros(L)  # the last pair's carry, then each piece in turn
+    head = np.empty(L - 1)
+
+    def place(w0: int):
+        """Yield samples w0 .. w0 + L from `piece`; keep the head's, wrap those past n."""
+        if not w0:
+            head[:] = piece[:-1]
+        if min(w0 + L, n) > max(w0, L - 1):
+            yield max(w0, L - 1), piece[max(L - 1 - w0, 0):n - w0]
+        t0, t1 = max(w0, n), min(w0 + L, n + L - 1)
+        if t1 > t0:
+            head[t0 - n:t1 - n] += piece[t0 - w0:t1 - w0]
+
+    for start in range(0, n, 2 * L):
+        for part, i0 in ((x.real, start), (x.imag, start + L)):
+            seg = read(min(i0, n), min(i0 + L, n))
+            part[:seg.size] = seg
+            part[seg.size:] = 0.0
+        _fft_in_place(z, tw)
+        z *= hf
+        np.conjugate(z, out=z)
+        _fft_in_place(z, tw, 1)  # DFT(conj Z) = conj(a * h + i b * h)
+        piece += x.real[:L]
+        yield from place(start)
+        np.subtract(x.real[L:], x.imag[:L], out=piece)
+        yield from place(start + L)
+        np.negative(x.imag[L:], out=piece)
+    yield from place(start + 2 * L)
+    yield 0, head
 
 
 def _filtered(read, n: int, rate: float, resp: TwoPortResponse):
@@ -383,9 +415,12 @@ def _filtered(read, n: int, rate: float, resp: TwoPortResponse):
         return
 
     L = DEFAULT_IR_LENGTH
-    hf = np.fft.rfft(np.fft.irfft(_interp_response(resp, np.arange(L // 2 + 1) * (rate / L)), L), 2 * L)
+    hf = np.zeros((512, 2 * L // 512), complex)  # the 2 L points of a 512-row four-step transform
+    hf.reshape(-1).real[:L] = np.fft.irfft(_interp_response(resp, np.arange(L // 2 + 1) * (rate / L)), L) / (2 * L)
     del resp
-    yield from _overlap_add_circular(read, n, hf)
+    tw = _twiddles(hf.shape)
+    _fft_in_place(hf, tw)
+    yield from _overlap_add_circular(read, n, hf, tw)
 
 
 def apply_response(w: Waveform, resp: TwoPortResponse) -> Waveform:
@@ -395,9 +430,9 @@ def apply_response(w: Waveform, resp: TwoPortResponse) -> Waveform:
     interpolated onto the transform bins.  A record of up to
     DEFAULT_IR_LENGTH samples is filtered on its own bin grid; a longer one
     with the response sampled as a DEFAULT_IR_LENGTH-tap impulse response,
-    by overlap-add segments of that length, which agree with one FFT of the
-    whole record to rounding.  The response group delay appears as a
-    (circular) shift of pulse content.
+    by overlap-add segments of that length, two per complex transform, in
+    agreement with one FFT of the whole record to rounding.  The response
+    group delay appears as a (circular) shift of pulse content.
     """
     _check_coverage(resp, w.sample_rate)
     x = w.samples

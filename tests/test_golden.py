@@ -116,22 +116,23 @@ def test_sweep_exits_0_on_every_seed(tmp_path):
 
 # Long waveform records, recorded like GOLDEN (numpy's AVX-512 loops): every
 # record past 2**17 samples takes the overlap-add path, which synthesizes the
-# record, impulses and noise one segment at a time; 2e5 samples are two
-# segments, the second one short, and 4.24e6 samples are 33.
+# record, impulses and noise one segment at a time and filters two segments
+# per transform; 2e5 samples are two segments, the second one short, in one
+# transform, and 4.24e6 samples are 33 segments in 17.
 LONG_RECORDS = {
     "overlap-add 2 segments": ({"duration": 5e-6}, ["csv", "json"], {
         "waveform.bin":
-            "4b6d18c39c8785b525cb1f80653c3a220b68c1756673addbf0497943678a2a6c",
+            "a7c822153473f5088f28540679aa9249af96930b6c1bcbaee1738ee697b3d128",
         "waveform.csv":
-            "63548dda1e05fa9c168db45b6f358d0c224796f6a30a3e03d3d322aa8fd2e6db",
+            "ac0b53f48a67cf444a5c37826fcaf338bfb7d40a6be4a0c2723cf3c447460e67",
     }),
     "overlap-add": ({"duration": 1.06e-4}, ["json"], {
         "waveform.bin":
-            "b473eb0f231323d871dec6d916297d5bbab672010a05cd6fede8f94689fa1839",
+            "06d57bb506ae4df9dac4c2ed0d0b117745388d35907b30be5361ee9b6d868951",
     }),
     "overlap-add with noise": ({"duration": 1.06e-4, "noise_rms": 1e-4}, ["json"], {
         "waveform.bin":
-            "7b3ec3950d18625d1993fd69cba955e1106c80421c5f2d9d30ee98f50efa0f9d",
+            "7c36ac7728c31b0a232536f6ceb21cce2cad4decca86bf55c549fb2e8f28188e",
     }),
 }
 

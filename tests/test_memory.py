@@ -158,25 +158,50 @@ def test_streamed_waveform_holds_no_record(tmp_path):
     # 4.24e6 samples: the overlap-add path; synthesis, filter, write and rms
     _, peak = _traced_peak(cli.cmd_waveform, _waveform_config(tmp_path / "one", 1.06e-4))
     segment = 8 << 17  # a 2**17-sample segment
-    # a budget that does not grow with the record: the synthesis's segment
-    # buffer and 64 KB block temporaries, the impulse response's spectrum,
-    # the overlap-add window and head, and one segment's FFT temporaries
-    # (about 12 segments); the chain response, its bins and the impulse
-    # response are dropped before the loop, and holding them again fails the
-    # bound, as do the synthesis's segment-sized scratch buffers (about 14)
+    # a budget that does not grow with the record: the impulse response's
+    # spectrum and the transform of a segment pair (4 segments each), the
+    # piece buffer that also holds the carry, the head, the synthesis's
+    # segment buffer and 64 KB block temporaries (about 12 segments); the
+    # chain response, its bins and the impulse response are dropped before
+    # the loop, and holding them again fails the bound, as do the
+    # synthesis's segment-sized scratch buffers (about 14)
     assert peak <= 13 * segment
     _, twice = _traced_peak(cli.cmd_waveform, _waveform_config(tmp_path / "two", 2.12e-4))
     assert twice <= 1.1 * peak
 
 
-def test_spectrum_metrics_hold_two_float_arrays(tmp_path):
+def _metrics_points() -> float:
+    """The metrics-grid points the null metrics read, about 1.2e5: the
+    +/-_NULL_SEARCH window around f_g at the grid's 1 kHz step, and the
+    100 kHz background lattice."""
+    lo, hi = network._BACKGROUND_BAND
+    return 2 * network._NULL_SEARCH / network.metrics_grid().step + (hi - lo) / network._BACKGROUND_STRIDE
+
+
+# two float arrays of those points, each held as its blocks and as their
+# concatenation (the frequencies and |H| of the window), with a 25% margin:
+# about 4.8 MB, where one float array over the 2e6 + 1 point grid takes 16 MB
+_METRICS_BOUND = 1.25 * 2 * 2 * 8 * _metrics_points()
+
+
+def test_spectrum_metrics_hold_two_float_arrays(tmp_path, monkeypatch):
     raw = copy.deepcopy(CONFIG)
     raw.update(emit=["json"], output_dir=str(tmp_path))
     cfg = cli.parse("spectrum", raw)
     _, peak = _traced_peak(cli.cmd_spectrum, cfg)
-    n = network.metrics_grid().n_points  # 2e6 + 1 points, whatever fine_step is
-    # the background |H| values, filled a block at a time, and one block's temporaries
-    assert peak <= 2 * 8 * n
+    assert peak <= _METRICS_BOUND
+    # a grid-sized float array held beside the metrics fails the bound
+    metrics = network.chain_null_metrics
+
+    def holding_a_grid_array(parts, grid, f_g):
+        held = np.ones(grid.n_points)
+        result = metrics(parts, grid, f_g)
+        del held
+        return result
+
+    monkeypatch.setattr(network, "chain_null_metrics", holding_a_grid_array)
+    _, peak = _traced_peak(cli.cmd_spectrum, cfg)
+    assert peak > _METRICS_BOUND
 
 
 def test_spectrum_metrics_grid_does_not_follow_fine_step(tmp_path):
@@ -186,7 +211,7 @@ def test_spectrum_metrics_grid_does_not_follow_fine_step(tmp_path):
     raw["network"]["spectrum"]["fine_step"] = 10.0
     raw.update(emit=["json"], output_dir=str(tmp_path))
     _, peak = _traced_peak(cli.cmd_spectrum, cli.parse("spectrum", raw))
-    assert peak <= 2 * 8 * network.metrics_grid().n_points
+    assert peak <= _METRICS_BOUND
     digest = hashlib.sha256((tmp_path / "null_metrics.json").read_bytes()).hexdigest()
     assert digest == GOLDEN["spectrum"]["null_metrics.json"]  # the golden config's step is 1 kHz
 
@@ -198,15 +223,22 @@ import os, subprocess, sys
 child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(child.pid, 0)
 assert os.waitstatus_to_exitcode(status) == 0
-print(usage.ru_maxrss)
+print(usage.ru_maxrss, usage.ru_minflt)
 """
+
+
+def _process_usage(*args) -> tuple[int, int]:
+    """The peak resident set (kB) and the minor page faults of
+    `python *args`, run to completion."""
+    run = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *args],
+                         capture_output=True, text=True, check=True)
+    peak_kb, faults = run.stdout.split()
+    return int(peak_kb), int(faults)
 
 
 def _process_peak_kb(*args) -> int:
     """The peak resident set (kB) of `python *args`, run to completion."""
-    run = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, *args],
-                         capture_output=True, text=True, check=True)
-    return int(run.stdout)
+    return _process_usage(*args)[0]
 
 
 def test_waveform_process_peak_stays_under_half_a_record(tmp_path):
@@ -224,6 +256,21 @@ def test_waveform_process_peak_stays_under_half_a_record(tmp_path):
         peak = _process_peak_kb("-m", "unicsim", "waveform", "-c", str(path))
         assert peak - imports < record_kb / 2, n
         assert (tmp_path / str(n) / "waveform.bin").stat().st_size == 24 + 8 * n
+
+
+def test_waveform_process_takes_few_page_faults(tmp_path):
+    # every FFT of the filter writes into its own input, so numpy's buffers
+    # are one row or column and no transform-sized array is allocated and
+    # freed per segment: the 8e6-sample record took about 90k minor faults
+    # when each segment had its own rfft/irfft results, and about 9k now
+    pytest.importorskip("resource")
+    raw = copy.deepcopy(CONFIG)
+    raw["waveform"]["duration"] = 8e6 / raw["waveform"]["sample_rate"]
+    raw.update(emit=["json"], output_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    _, faults = _process_usage("-m", "unicsim", "waveform", "-c", str(path))
+    assert faults < 40_000
 
 
 def test_simulate_process_peak_stays_within_one_block(tmp_path):

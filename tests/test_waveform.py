@@ -272,8 +272,29 @@ def test_apply_response_parseval_long_record(saw, design):
     assert measured == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [(1 << 17) + 1, 1 << 18, 3 * (1 << 17) - 1],
-                         ids=["one-sample last segment", "2 segments", "3 segments"])
+@pytest.mark.parametrize("shape", [(512, 512), (128, 64)])
+def test_four_step_transform_equals_the_flat_fft(shape):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    tw = waveform._twiddles(shape)
+    z = x.copy()
+    waveform._fft_in_place(z, tw)
+    # bin k1 + rows * k2 at [k1, k2]
+    want = np.fft.fft(x.reshape(-1)).reshape(shape[::-1]).T
+    assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
+    # along axis 1 first, the scrambled order is transformed into row-major order
+    z = x.reshape(shape[::-1]).T.copy()
+    waveform._fft_in_place(z, tw, 1)
+    want = np.fft.fft(x.reshape(-1)).reshape(shape)
+    assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
+
+
+L_IR = waveform.DEFAULT_IR_LENGTH
+
+
+@pytest.mark.parametrize("n", [L_IR + 1, 2 * L_IR, 3 * L_IR - 1, 2 * L_IR + 1, 4 * L_IR, 5 * L_IR - 1],
+                         ids=["one-sample last segment", "2 segments", "3 segments",
+                              "one-sample last pair", "whole pairs", "odd segments, the last one short"])
 def test_overlap_add_equals_whole_record_fft(n, saw, design):
     # the oracle: one FFT of the whole record, with the 2**17-tap impulse
     # response that _filtered samples from the chain response
@@ -283,6 +304,17 @@ def test_overlap_add_equals_whole_record_fft(n, saw, design):
     h = np.fft.irfft(waveform._interp_response(resp, np.arange(L // 2 + 1) * (RATE / L)), L)
     want = np.fft.irfft(np.fft.rfft(w.samples) * np.fft.rfft(h, n), n)
     assert rel_rms(apply_response(w, resp).samples, want) < 1e-9
+
+
+@pytest.mark.parametrize("n", [L_IR + 1, 2 * L_IR + 1, 5 * L_IR - 1])
+def test_filtered_pieces_cover_every_sample_once(n, saw, design):
+    resp = chain_response(design, saw, record_bin_grid(RATE, 1 << 17), stages=2)
+    x = np.random.default_rng(8).normal(0.0, 1e-3, n)
+    hits = np.zeros(n, dtype=np.int64)
+    for start, p in waveform._filtered(waveform._slicer(x), n, RATE, resp):
+        assert 0 <= start and start + p.size <= n
+        hits[start:start + p.size] += 1
+    assert np.all(hits == 1)
 
 
 def test_apply_response_grid_coverage_error(saw, design):
